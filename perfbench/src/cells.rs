@@ -73,26 +73,45 @@ impl Kind {
         }
     }
 
-    /// The tail percentile `job_tail_ms` reports, and the job count a
-    /// run serves at least so that ten jobs lie beyond it. The
+    /// The tail percentile `job_tail_ms` reports, and the job count the
+    /// latency loop runs at least, so that ten jobs lie beyond it. The
     /// percentile is the highest that keeps ten jobs beyond it at the
-    /// job count a 25-second run reaches on a 2-core host.
+    /// job count a 20-second run reaches on a 2-core host.
     pub fn tail(self) -> (f64, u64) {
         match self {
-            Kind::GridSmall | Kind::Apps => (0.99, 1000),
-            Kind::GridP64 => (0.80, 50),
+            Kind::GridSmall => (0.98, 500),
+            Kind::GridP64 => (0.75, 40),
+            Kind::Apps => (0.99, 1000),
         }
     }
 
-    /// Segments per run. A run sets up once per segment and serves a
-    /// share of its jobs in each (a grid segment is one whole `serve`
-    /// call); `setup_s`, `cells_per_s` and `job_p50_ms` are medians over
-    /// the segments, so a burst of host noise shifts at most a minority
-    /// of them.
+    /// Segments per run: `serve` calls of a grid run, each with its own
+    /// set-up; for `apps`, golden set-ups and equal stretches of the
+    /// loop. `cells_per_s` and `setup_s` are medians over them.
     pub fn segments(self) -> usize {
         match self {
-            Kind::GridSmall | Kind::Apps => 5,
+            Kind::GridSmall | Kind::GridP64 => 3,
+            Kind::Apps => 5,
+        }
+    }
+
+    /// The share of a grid run's worker time given to its `serve` calls;
+    /// the latency loop gets the rest. `apps` does not go through
+    /// `serve`.
+    pub fn serve_share(self) -> f64 {
+        match self {
+            Kind::GridSmall => 0.5,
+            Kind::GridP64 => 0.6,
+            Kind::Apps => 0.0,
+        }
+    }
+
+    /// Rounds each `serve` call serves at least.
+    pub fn min_rounds(self) -> u64 {
+        match self {
+            Kind::GridSmall => 4,
             Kind::GridP64 => 3,
+            Kind::Apps => 0,
         }
     }
 

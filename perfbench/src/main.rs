@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload grid-small --seed 2024 --seconds 25 --trace 0
+//!     --workload grid-small --seed 2024 --seconds 20 --trace 0
 //! ```
 //!
 //! Workloads: `grid-small`, `grid-p64`, `apps` (see `README.md`). With
@@ -30,7 +30,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut kind = None;
     let mut seed = DEFAULT_SEED;
-    let mut seconds = 25.0;
+    let mut seconds = 20.0;
     let mut trace = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
