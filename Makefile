@@ -20,8 +20,10 @@ clippy:
 # over the quick grid — median cells/sec + MAD — and the fixed cells'
 # stall attribution) into BENCH_10.json, and bench_diff then gates the
 # per-variant message totals (exact) and the serve throughput
-# (one-sided, MAD-banded) against the committed BENCH_9.json —
-# protocol counts may only move together with golden_counts.rs.
+# (one-sided, MAD-banded) against the previous snapshot: with no
+# arguments, bench_diff diffs the two highest-numbered BENCH_<N>.json
+# files (N compared as a number). Protocol counts may only move
+# together with golden_counts.rs.
 bench:
 	rm -f target/criterion.jsonl
 	CRITERION_JSON=$(CURDIR)/target/criterion.jsonl cargo bench

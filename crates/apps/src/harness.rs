@@ -14,7 +14,8 @@ use std::cell::RefCell;
 use parking_lot::Mutex;
 use simnet::{NetReport, PolicyReport, SimTime};
 
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
+use crate::workload::Variant;
 
 thread_local! {
     /// Retired per-proc second buffers, reused by the next
@@ -107,7 +108,7 @@ impl Capture {
     /// Assemble the table row. Panics if no `freeze_*` call happened.
     pub fn report(
         self,
-        system: SystemKind,
+        system: Variant,
         seq_time: SimTime,
         checksum: f64,
         policy: Option<PolicyReport>,
@@ -146,7 +147,7 @@ mod tests {
         c.set_scan(1, 2.0);
         c.set_inspector(2, 4.0);
         c.set_untimed_inspector(3, 8.0);
-        let r = c.report(SystemKind::TmkOpt, SimTime::from_us(10e6), 1.0, None);
+        let r = c.report(Variant::TmkOpt, SimTime::from_us(10e6), 1.0, None);
         assert_eq!(r.messages, 100);
         assert_eq!(r.bytes, 2000);
         assert!((r.validate_scan_s - 1.0).abs() < 1e-12);
@@ -159,7 +160,7 @@ mod tests {
     #[should_panic(expected = "timed region captured")]
     fn report_without_freeze_panics() {
         let c = Capture::new(1);
-        let _ = c.report(SystemKind::TmkBase, SimTime::ZERO, 0.0, None);
+        let _ = c.report(Variant::TmkBase, SimTime::ZERO, 0.0, None);
     }
 
     #[test]
@@ -168,7 +169,7 @@ mod tests {
         while BUF_POOL.with(|p| p.borrow_mut().pop()).is_some() {}
         let c = Capture::new(8);
         *c.timed.lock() = Some((SimTime::ZERO, 0, 0));
-        let _ = c.report(SystemKind::TmkBase, SimTime::ZERO, 0.0, None);
+        let _ = c.report(Variant::TmkBase, SimTime::ZERO, 0.0, None);
         assert_eq!(BUF_POOL.with(|p| p.borrow().len()), 3);
         // The next capture reuses them (pool drains), even at another
         // cluster size — buffers are resized, not reallocated.

@@ -1,4 +1,4 @@
-//! # apps — the paper's two irregular applications, in four builds each
+//! # apps — the paper's irregular applications, in six builds each
 //!
 //! * **moldyn** (§5.1): a CHARMM-like molecular dynamics kernel. An
 //!   interaction list of all molecule pairs within a cutoff radius is the
@@ -10,21 +10,23 @@
 //! fills the remaining corner of the design space: a static *pair*
 //! list.
 //!
-//! Each application comes as:
+//! Each application runs as every [`Variant`]:
 //!
 //! 1. a **sequential** reference ([`moldyn::run_seq`], [`nbf::run_seq`]),
 //! 2. **Tmk base** — plain demand-paged DSM,
 //! 3. **Tmk optimized** — compiler-inserted `Validate` (the descriptors
 //!    come from `fcc` compiling the paper's Figure-1 sources),
 //! 4. **Tmk adaptive** — the runtime-adaptive engine (`adapt` crate):
-//!    no compiler hints, the protocol learns the pattern
-//!    ([`moldyn::run_adaptive`], [`nbf::run_adaptive`],
-//!    [`umesh::run_adaptive`]),
-//! 5. **CHAOS** — hand-coded inspector/executor.
+//!    no compiler hints, the protocol learns the pattern,
+//! 5. **Tmk push** — the same engine in update-push mode,
+//! 6. **CHAOS** — hand-coded inspector/executor.
 //!
-//! All four compute identical physics from identical seeded workloads, so
-//! results cross-check to floating-point reordering tolerance, while
-//! simulated time, messages, and data reproduce Tables 1 and 2.
+//! The four Tmk builds share one runner per app ([`moldyn::run_tmk`],
+//! [`nbf::run_tmk`], [`umesh::run_tmk`]), selected by the `Variant`.
+//! All six compute identical physics from identical seeded workloads, so
+//! results cross-check to floating-point reordering tolerance
+//! ([`run_variants`]), while simulated time, messages, and data
+//! reproduce Tables 1 and 2.
 //!
 //! ## Modeled compute costs
 //!
@@ -42,5 +44,5 @@ pub mod report;
 pub mod work;
 pub mod workload;
 
-pub use report::{RunReport, SystemKind};
-pub use workload::{run_matrix, CheckMode, Variant, Workload, WorkloadMatrix};
+pub use report::RunReport;
+pub use workload::{run_matrix, run_variants, CheckMode, Variant, Workload, WorkloadMatrix};

@@ -17,8 +17,9 @@ use chaos::{inspector, rcb_partition, ChaosWorld, Ghosted, TTable, TTableCache, 
 
 use super::geometry::{build_interaction_list_for, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
+use crate::workload::Variant;
 
 /// Run moldyn under CHAOS. Returns the Table-1 row and final positions
 /// (original numbering).
@@ -160,7 +161,7 @@ pub fn run_chaos(
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
     (
-        cap.report(SystemKind::Chaos, seq_time, checksum, None),
+        cap.report(Variant::Chaos, seq_time, checksum, None),
         final_x,
     )
 }

@@ -4,8 +4,9 @@ use simnet::SimTime;
 
 use super::geometry::{build_interaction_list, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
+use crate::workload::Variant;
 
 /// Result of the sequential run: the report plus the final positions
 /// (original numbering) used to verify every parallel build.
@@ -55,7 +56,7 @@ pub fn run_seq(cfg: &MoldynConfig, world: &MoldynWorld) -> SeqResult {
     let checksum = x.iter().flatten().map(|v| v.abs()).sum();
     SeqResult {
         report: RunReport {
-            system: SystemKind::Sequential,
+            system: Variant::Seq,
             time,
             seq_time: time,
             messages: 0,

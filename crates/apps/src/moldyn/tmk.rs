@@ -1,6 +1,6 @@
-//! moldyn on the DSM: base TreadMarks (pure demand paging) and the
+//! moldyn on the DSM: base TreadMarks (pure demand paging), the
 //! compiler-optimized build (`Validate` aggregation) — the `Tmk base` /
-//! `Tmk optimized` rows of Table 1.
+//! `Tmk optimized` rows of Table 1 — and the two runtime-adaptive builds.
 //!
 //! Program structure (paper §5.1): molecules are assigned to processors
 //! with the RCB partitioner and *remapped* so each processor's molecules
@@ -31,50 +31,27 @@ use chaos::{rcb_partition, Partition};
 
 use super::geometry::{build_interaction_list_for, pair_force, MoldynWorld};
 use super::{MoldynConfig, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
+use crate::workload::Variant;
 
-/// Which Tmk build to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TmkMode {
-    /// Unmodified TreadMarks: demand paging only.
-    Base,
-    /// Compiler-inserted `Validate`: aggregation + prefetch + `*_ALL`.
-    Optimized,
-    /// Runtime-adaptive aggregation (`adapt` crate): same program as
-    /// `Base`, but each processor carries an [`adapt::AdaptivePolicy`]
-    /// that learns the access pattern and batches predictable fetches.
-    Adaptive,
-    /// The adaptive engine in **update-push** mode: same predictor as
-    /// `Adaptive`, but each predicted exchange is a single one-way
-    /// writer push per peer instead of a request/reply pair.
-    Push,
-}
-
-impl TmkMode {
-    pub fn system_kind(self) -> SystemKind {
-        match self {
-            TmkMode::Base => SystemKind::TmkBase,
-            TmkMode::Optimized => SystemKind::TmkOpt,
-            TmkMode::Adaptive => SystemKind::TmkAdaptive,
-            TmkMode::Push => SystemKind::TmkPush,
-        }
-    }
-
-    /// Does this mode install the runtime-adaptive engine?
-    pub fn is_adaptive(self) -> bool {
-        matches!(self, TmkMode::Adaptive | TmkMode::Push)
-    }
-}
-
-/// Run moldyn on the simulated DSM. Returns the Table-1 row and the
-/// final positions in *original* numbering for verification.
+/// Run moldyn on the simulated DSM as `variant` (one of
+/// [`Variant::TMK`]). Returns the Table-1 row and the final positions in
+/// *original* numbering for verification.
+///
+/// The adaptive builds run the `Tmk base` program unchanged; each
+/// processor installs the default [`adapt::AdaptivePolicy`]. Between
+/// list rebuilds every step re-reads the same 30–50% of the coordinate
+/// pages, and the pipelined reduction touches the same chunk pages
+/// every `nprocs + 1` barriers, so both patterns are promoted to
+/// batched barrier-time fetches within two steps.
 pub fn run_tmk(
     cfg: &MoldynConfig,
     world: &MoldynWorld,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
 ) -> (RunReport, Vec<[f64; 3]>) {
+    assert!(Variant::TMK.contains(&variant), "run_tmk: {variant:?} is not a Tmk variant");
     let nprocs = cfg.nprocs;
     let n = cfg.n;
 
@@ -117,8 +94,8 @@ pub fn run_tmk(
     let cap = crate::harness::Capture::new(nprocs);
 
     cl.run(|p| {
-        if mode.is_adaptive() {
-            p.set_policy(super::adaptive_run::policy(mode));
+        if let Some(policy) = variant.policy(&adapt::AdaptConfig::default()) {
+            p.set_policy(policy);
         }
         let me = p.rank();
         let my_mols = part.range_of(me);
@@ -139,7 +116,7 @@ pub fn run_tmk(
         // carries that site's tag and starts that phase's event axis.
         p.barrier_tagged(crate::phases::UPDATE);
         my_npairs = rebuild_list(
-            p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, mode, &mut v, n,
+            p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, variant, &mut v, n,
         );
         // Phase tags name the barrier *sites* of the step loop so the
         // adaptive engine learns one plan per site (crate::phases); the
@@ -153,7 +130,7 @@ pub fn run_tmk(
             // ---- (maybe) rebuild the interaction list ----
             if rebuilds.contains(&step) {
                 my_npairs = rebuild_list(
-                    p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, mode, &mut v,
+                    p, &part, me, &x, &ilist, &npairs, cap_pp, world, &mut xbuf, variant, &mut v,
                     n,
                 );
                 p.barrier_tagged(crate::phases::REBUILD);
@@ -161,7 +138,7 @@ pub fn run_tmk(
 
             // ---- ComputeForces (the Figure-2 transformation) ----
             let my_start_pairs = me * cap_pp;
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 // Bind the compiler's symbolic section to this processor:
                 // num_interactions = my count, offset by my list section.
                 let sd = &site.descriptors[0];
@@ -205,7 +182,7 @@ pub fn run_tmk(
                 let chunk = (me + s + 1) % p.nprocs();
                 let mr = part.range_of(chunk);
                 let (elo, ehi) = (3 * mr.start, 3 * mr.end);
-                if mode == TmkMode::Optimized {
+                if variant == Variant::TmkOpt {
                     let access = if s == 0 {
                         AccessType::WriteAll
                     } else {
@@ -240,7 +217,7 @@ pub fn run_tmk(
 
             // ---- position update (owner) ----
             let (elo, ehi) = (3 * my_mols.start, 3 * my_mols.end);
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 validate(
                     p,
                     &mut v,
@@ -269,7 +246,7 @@ pub fn run_tmk(
 
     // Policy decisions of the timed region (extraction reads below do
     // not touch these counters).
-    let policy = mode.is_adaptive().then(|| cl.net().policy_report());
+    let policy = variant.is_adaptive().then(|| cl.net().policy_report());
 
     // --- untimed result extraction ---
     let final_x: Mutex<Vec<[f64; 3]>> = Mutex::new(vec![[0.0; 3]; n]);
@@ -288,7 +265,7 @@ pub fn run_tmk(
 
     let checksum = final_x.iter().flatten().map(|v| v.abs()).sum();
     (
-        cap.report(mode.system_kind(), seq_time, checksum, policy),
+        cap.report(variant, seq_time, checksum, policy),
         final_x,
     )
 }
@@ -307,12 +284,12 @@ fn rebuild_list(
     cap_pp: usize,
     world: &MoldynWorld,
     xbuf: &mut [f64],
-    mode: TmkMode,
+    variant: Variant,
     v: &mut Validator,
     n: usize,
 ) -> usize {
     let my_mols = part.range_of(me);
-    if mode == TmkMode::Optimized {
+    if variant == Variant::TmkOpt {
         // Regular read of the whole coordinate array: aggregate the fetch.
         validate(
             p,
@@ -346,7 +323,7 @@ fn rebuild_list(
         cap_pp
     );
     let my_start = me * cap_pp;
-    if mode == TmkMode::Optimized {
+    if variant == Variant::TmkOpt {
         // Pre-twin this processor's list section (regular WRITE).
         validate(
             p,

@@ -15,8 +15,9 @@ use chaos::{
 };
 
 use super::{nbf_force, NbfConfig, NbfWorld, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
+use crate::workload::Variant;
 
 /// Run nbf under CHAOS. Returns the Table-2 row and final coordinates.
 pub fn run_chaos(
@@ -112,7 +113,7 @@ pub fn run_chaos(
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     (
-        cap.report(SystemKind::Chaos, seq_time, checksum, None),
+        cap.report(Variant::Chaos, seq_time, checksum, None),
         final_x,
     )
 }

@@ -8,19 +8,15 @@
 //! spread evenly over about 2/3 of the total space, so "a simple BLOCK
 //! partition suffices to balance the load."
 
-mod adaptive_run;
 mod chaos_run;
 mod seq;
 mod tmk;
 
-pub use adaptive_run::{knobs as adaptive_knobs, run_adaptive, run_push};
 pub use chaos_run::run_chaos;
 pub use seq::run_seq;
 pub use tmk::run_tmk;
 
 use simnet::CostModel;
-
-pub use super::moldyn::TmkMode;
 
 /// Integration step size (keeps values bounded over the 10 paper steps).
 pub const DT: f64 = 0.01;

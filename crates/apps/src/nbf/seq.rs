@@ -3,8 +3,9 @@
 use simnet::SimTime;
 
 use super::{nbf_force, NbfConfig, NbfWorld, DT};
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
+use crate::workload::Variant;
 
 pub struct SeqResult {
     pub report: RunReport,
@@ -43,7 +44,7 @@ pub fn run_seq(cfg: &NbfConfig, world: &NbfWorld) -> SeqResult {
     let checksum = x.iter().map(|v| v.abs()).sum();
     SeqResult {
         report: RunReport {
-            system: SystemKind::Sequential,
+            system: Variant::Seq,
             time,
             seq_time: time,
             messages: 0,

@@ -1,4 +1,5 @@
-//! nbf on the DSM (base and optimized) — the `Tmk` rows of Table 2.
+//! nbf on the DSM (base, optimized and the two adaptive builds) — the
+//! `Tmk` rows of Table 2.
 //!
 //! BLOCK partition; the static partner list is written once during
 //! initialization. Each timed step: `Validate` (optimized) prefetches
@@ -18,18 +19,26 @@ use simnet::SimTime;
 
 use chaos::block_partition;
 
-use super::{nbf_force, NbfConfig, NbfWorld, TmkMode, DT};
+use super::{nbf_force, NbfConfig, NbfWorld, DT};
 use crate::report::RunReport;
 use crate::work;
+use crate::workload::Variant;
 
-/// Run nbf on the simulated DSM. Returns the Table-2 row and the final
-/// coordinates.
+/// Run nbf on the simulated DSM as `variant` (one of [`Variant::TMK`]).
+/// Returns the Table-2 row and the final coordinates.
+///
+/// The partner list is static, so the adaptive builds' default
+/// [`adapt::AdaptivePolicy`] promotes the whole remote read set after
+/// `promote_after` steps and each step's page-at-a-time demand traffic
+/// collapses into one exchange per peer: the shape `Validate` reaches,
+/// learned instead of compiled.
 pub fn run_tmk(
     cfg: &NbfConfig,
     world: &NbfWorld,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
 ) -> (RunReport, Vec<f64>) {
+    assert!(Variant::TMK.contains(&variant), "run_tmk: {variant:?} is not a Tmk variant");
     let nprocs = cfg.nprocs;
     let n = cfg.n;
     let part = block_partition(n, nprocs);
@@ -62,8 +71,8 @@ pub fn run_tmk(
     let cap = crate::harness::Capture::new(nprocs);
 
     cl.run(|p| {
-        if mode.is_adaptive() {
-            p.set_policy(super::adaptive_run::policy(mode));
+        if let Some(policy) = variant.policy(&adapt::AdaptConfig::default()) {
+            p.set_policy(policy);
         }
         let me = p.rank();
         let my = part.range_of(me);
@@ -97,7 +106,7 @@ pub fn run_tmk(
             }
 
             // ---- ComputeNbfForces ----
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 // Bind the compiler's section: the opaque bound symbols
                 // `last(0)` and `last(num_molecules)` become this
                 // processor's partner-list extent (its molecules' lists).
@@ -159,7 +168,7 @@ pub fn run_tmk(
             for s in 0..p.nprocs() {
                 let chunk = (me + s + 1) % p.nprocs();
                 let cr = part.range_of(chunk);
-                if mode == TmkMode::Optimized {
+                if variant == Variant::TmkOpt {
                     let access = if s == 0 {
                         AccessType::WriteAll
                     } else {
@@ -196,7 +205,7 @@ pub fn run_tmk(
             }
 
             // ---- owner integrates ----
-            if mode == TmkMode::Optimized {
+            if variant == Variant::TmkOpt {
                 validate(
                     p,
                     &mut v,
@@ -222,7 +231,7 @@ pub fn run_tmk(
         p.barrier();
     });
 
-    let policy = mode.is_adaptive().then(|| cl.net().policy_report());
+    let policy = variant.is_adaptive().then(|| cl.net().policy_report());
 
     // Untimed extraction.
     let final_x: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n]);
@@ -238,7 +247,7 @@ pub fn run_tmk(
 
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     (
-        cap.report(mode.system_kind(), seq_time, checksum, policy),
+        cap.report(variant, seq_time, checksum, policy),
         final_x,
     )
 }

@@ -2,38 +2,13 @@
 
 use simnet::{NetReport, PolicyReport, SimTime};
 
-/// Which system produced a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SystemKind {
-    Sequential,
-    Chaos,
-    TmkBase,
-    TmkOpt,
-    /// The fourth variant: runtime-adaptive aggregation, no compiler.
-    TmkAdaptive,
-    /// The fifth variant: the adaptive engine in update-push mode —
-    /// writers push predicted diffs at the barrier, eliminating the
-    /// request half of each predicted exchange.
-    TmkPush,
-}
-
-impl SystemKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            SystemKind::Sequential => "seq",
-            SystemKind::Chaos => "CHAOS",
-            SystemKind::TmkBase => "Tmk base",
-            SystemKind::TmkOpt => "Tmk optimized",
-            SystemKind::TmkAdaptive => "Tmk adaptive",
-            SystemKind::TmkPush => "Tmk push",
-        }
-    }
-}
+use crate::workload::Variant;
 
 /// One table row (plus the in-text extras the paper quotes).
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    pub system: SystemKind,
+    /// The variant that produced this row.
+    pub system: Variant,
     /// Simulated execution time of the timed region.
     pub time: SimTime,
     /// Matching sequential time (for the speedup column).
@@ -100,7 +75,7 @@ mod tests {
     #[test]
     fn speedup_and_row_format() {
         let r = RunReport {
-            system: SystemKind::Chaos,
+            system: Variant::Chaos,
             time: SimTime::from_us(10e6),
             seq_time: SimTime::from_us(60e6),
             messages: 1234,

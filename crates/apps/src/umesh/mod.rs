@@ -25,10 +25,6 @@
 //! partial sums, which reassociates floating-point addition and only
 //! agreed to 1e-9.)
 
-mod adaptive_run;
-
-pub use adaptive_run::{knobs as adaptive_knobs, run_adaptive, run_push};
-
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,9 +34,9 @@ use simnet::{CostModel, SimTime};
 
 use chaos::{block_partition, gather, inspector, ChaosWorld, Ghosted, TTable, TTableCache, TTableKind};
 
-use crate::report::{RunReport, SystemKind};
+use crate::report::RunReport;
 use crate::work;
-pub use crate::moldyn::TmkMode;
+use crate::workload::Variant;
 
 /// Relaxation weight per sweep.
 pub const KAPPA: f64 = 0.05;
@@ -187,7 +183,7 @@ pub fn run_seq(cfg: &UmeshConfig, mesh: &Mesh) -> SeqResult {
     let checksum = x.iter().map(|v| v.abs()).sum();
     SeqResult {
         report: RunReport {
-            system: SystemKind::Sequential,
+            system: Variant::Seq,
             time,
             seq_time: time,
             messages: 0,
@@ -203,17 +199,23 @@ pub fn run_seq(cfg: &UmeshConfig, mesh: &Mesh) -> SeqResult {
     }
 }
 
-/// umesh on the DSM (base / optimized / adaptive). Nodes are
+/// umesh on the DSM as `variant` (one of [`Variant::TMK`]). Nodes are
 /// BLOCK-partitioned by grid row (spatial locality); each sweep, every
 /// processor reads its nodes' incident endpoints through the shared
 /// edge list, accumulates owner-side in global edge order, and updates
 /// only its own block — one barrier per sweep, bitwise-equal results.
+///
+/// The mesh is static, so from the second sweep on the adaptive builds'
+/// default [`adapt::AdaptivePolicy`] promotes the whole ghost-page set:
+/// one exchange per neighbouring partition, CHAOS's gather shape found
+/// without an inspector.
 pub fn run_tmk(
     cfg: &UmeshConfig,
     mesh: &Mesh,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
 ) -> (RunReport, Vec<f64>) {
+    assert!(Variant::TMK.contains(&variant), "run_tmk: {variant:?} is not a Tmk variant");
     let n = cfg.n();
     let nprocs = cfg.nprocs;
     let part = block_partition(n, nprocs);
@@ -236,14 +238,14 @@ pub fn run_tmk(
     let cap = crate::harness::Capture::new(nprocs);
 
     cl.run(|p| {
-        if mode.is_adaptive() {
-            p.set_policy(adaptive_run::policy(mode));
+        if let Some(policy) = variant.policy(&adapt::AdaptConfig::default()) {
+            p.set_policy(policy);
         }
         let me = p.rank();
         let my = part.range_of(me);
         let my_flat = flat_counts[me];
         let my_start = me * cap_pp;
-        let mut v = if mode == TmkMode::Optimized {
+        let mut v = if variant == Variant::TmkOpt {
             Validator::incremental()
         } else {
             Validator::new()
@@ -271,7 +273,7 @@ pub fn run_tmk(
         p.reset_counters();
 
         for _sweep in 0..cfg.sweeps {
-            if mode == TmkMode::Optimized && my_flat > 0 {
+            if variant == Variant::TmkOpt && my_flat > 0 {
                 validate(
                     p,
                     &mut v,
@@ -332,7 +334,7 @@ pub fn run_tmk(
         p.barrier();
     });
 
-    let policy = mode.is_adaptive().then(|| cl.net().policy_report());
+    let policy = variant.is_adaptive().then(|| cl.net().policy_report());
 
     let final_x: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n]);
     cl.run(|p| {
@@ -346,7 +348,7 @@ pub fn run_tmk(
     let final_x = final_x.into_inner();
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     (
-        cap.report(mode.system_kind(), seq_time, checksum, policy),
+        cap.report(variant, seq_time, checksum, policy),
         final_x,
     )
 }
@@ -422,7 +424,7 @@ pub fn run_chaos(cfg: &UmeshConfig, mesh: &Mesh, seq_time: SimTime) -> (RunRepor
     }
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     (
-        cap.report(SystemKind::Chaos, seq_time, checksum, None),
+        cap.report(Variant::Chaos, seq_time, checksum, None),
         final_x,
     )
 }
@@ -467,9 +469,9 @@ mod tests {
         let cfg = UmeshConfig::small();
         let mesh = gen_mesh(&cfg);
         let seq = run_seq(&cfg, &mesh);
-        let (base, xb) = run_tmk(&cfg, &mesh, TmkMode::Base, seq.report.time);
-        let (opt, xo) = run_tmk(&cfg, &mesh, TmkMode::Optimized, seq.report.time);
-        let (ad, xa) = run_adaptive(&cfg, &mesh, seq.report.time);
+        let (base, xb) = run_tmk(&cfg, &mesh, Variant::TmkBase, seq.report.time);
+        let (opt, xo) = run_tmk(&cfg, &mesh, Variant::TmkOpt, seq.report.time);
+        let (ad, xa) = run_tmk(&cfg, &mesh, Variant::TmkAdaptive, seq.report.time);
         let (chaos, xc) = run_chaos(&cfg, &mesh, seq.report.time);
         // Fixed-order owner-side accumulation: the contract is bitwise,
         // not a tolerance — every build replays the sequential order.
@@ -493,7 +495,7 @@ mod tests {
         let cfg = UmeshConfig::small();
         let mesh = gen_mesh(&cfg);
         let seq = run_seq(&cfg, &mesh);
-        let (rep, _) = run_tmk(&cfg, &mesh, TmkMode::Optimized, seq.report.time);
+        let (rep, _) = run_tmk(&cfg, &mesh, Variant::TmkOpt, seq.report.time);
         // The edge list never changes: one Read_indices pass total, so
         // the per-processor scan time is tiny relative to the sweep work.
         assert!(rep.validate_scan_s < seq.report.time.as_secs_f64() / 10.0);

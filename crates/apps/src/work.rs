@@ -1,5 +1,5 @@
 //! Modeled per-operation compute costs (microseconds), calibrated against
-//! the paper's *sequential* timings — see EXPERIMENTS.md for the full
+//! the paper's *sequential* timings — each constant's doc gives its
 //! derivation. These model the 1997 thin-node SP2 (66 MHz POWER2); the
 //! real Rust arithmetic runs at native speed and only these charges enter
 //! the simulated clocks.

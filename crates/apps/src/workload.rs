@@ -1,15 +1,16 @@
 //! The `Workload` trait: one contract every application — moldyn, nbf,
 //! umesh, and every synthetic scenario from the `synth` crate —
-//! implements, plus the generic five-variant runner that replaces the
-//! per-app copy-pasted table harnesses.
+//! implements, plus the generic runner every table harness and test
+//! cross-checks through.
 //!
 //! A workload is "a deterministic irregular computation that can run as
 //! any of the six system variants and hand back a flattened final
-//! state for cross-checking". The runner ([`run_matrix`]) runs the
-//! sequential reference first, feeds its simulated time to the five
-//! parallel variants, and enforces the repo's agreement contract:
+//! state for cross-checking". The runner ([`run_variants`], or
+//! [`run_matrix`] for all five parallel variants) runs the sequential
+//! reference first, feeds its simulated time to the parallel variants,
+//! and enforces the repo's agreement contract:
 //!
-//! * the four Tmk builds (base / optimized / adaptive / update-push)
+//! * the Tmk builds present (base / optimized / adaptive / update-push)
 //!   are **always** bitwise identical — the protocol layers only move
 //!   fetches earlier or later (or flip who initiates the exchange),
 //!   never change data;
@@ -21,9 +22,9 @@
 
 use simnet::SimTime;
 
-use crate::moldyn::{self, MoldynConfig, MoldynWorld, TmkMode};
+use crate::moldyn::{self, MoldynConfig, MoldynWorld};
 use crate::nbf::{self, NbfConfig, NbfWorld};
-use crate::report::{table_header, RunReport, SystemKind};
+use crate::report::{table_header, RunReport};
 use crate::umesh::{self, Mesh, UmeshConfig};
 
 /// The six system variants of the comparison.
@@ -67,19 +68,34 @@ impl Variant {
         Variant::TmkPush,
     ];
 
-    pub fn system_kind(self) -> SystemKind {
+    /// Table-row label.
+    pub fn label(self) -> &'static str {
         match self {
-            Variant::Seq => SystemKind::Sequential,
-            Variant::TmkBase => SystemKind::TmkBase,
-            Variant::TmkOpt => SystemKind::TmkOpt,
-            Variant::TmkAdaptive => SystemKind::TmkAdaptive,
-            Variant::TmkPush => SystemKind::TmkPush,
-            Variant::Chaos => SystemKind::Chaos,
+            Variant::Seq => "seq",
+            Variant::TmkBase => "Tmk base",
+            Variant::TmkOpt => "Tmk optimized",
+            Variant::TmkAdaptive => "Tmk adaptive",
+            Variant::TmkPush => "Tmk push",
+            Variant::Chaos => "CHAOS",
         }
     }
 
-    pub fn label(self) -> &'static str {
-        self.system_kind().label()
+    /// Does this variant install the runtime-adaptive engine?
+    pub fn is_adaptive(self) -> bool {
+        matches!(self, Variant::TmkAdaptive | Variant::TmkPush)
+    }
+
+    /// The policy each processor of an adaptive variant installs: the
+    /// caller's `knobs`, switched to update-push for [`Variant::TmkPush`].
+    /// `None` for every other variant.
+    pub fn policy(self, knobs: &adapt::AdaptConfig) -> Option<Box<dyn adapt::ProtocolPolicy>> {
+        self.is_adaptive().then(|| {
+            let knobs = adapt::AdaptConfig {
+                push: self == Variant::TmkPush,
+                ..knobs.clone()
+            };
+            Box::new(adapt::AdaptivePolicy::new(knobs)) as Box<dyn adapt::ProtocolPolicy>
+        })
     }
 }
 
@@ -95,7 +111,7 @@ pub enum CheckMode {
     Tolerance(f64),
 }
 
-/// One deterministic irregular computation, runnable as all five
+/// One deterministic irregular computation, runnable as all six
 /// variants.
 pub trait Workload {
     /// Scenario label for reports (e.g. `"moldyn n=512 p4"` or
@@ -120,10 +136,10 @@ pub struct VariantRun {
     pub x: Vec<f64>,
 }
 
-/// All five runs of one workload, cross-checked.
+/// The runs of one workload, cross-checked.
 pub struct WorkloadMatrix {
     pub label: String,
-    /// Sequential first, then [`Variant::PARALLEL`] in order.
+    /// Sequential first, then the requested variants in order.
     pub runs: Vec<VariantRun>,
 }
 
@@ -135,18 +151,21 @@ impl WorkloadMatrix {
             .expect("variant present")
     }
 
-    /// Paper-style block for table harnesses.
+    /// Paper-style block for table harnesses, titled with the label.
     pub fn print(&self) {
+        self.print_titled(&self.label);
+    }
+
+    /// Paper-style block: `title`, the sequential time, then one row per
+    /// parallel run in run order.
+    pub fn print_titled(&self, title: &str) {
         println!(
-            "\n{}  (seq = {:.1} s)",
-            self.label,
+            "\n{title}  (seq = {:.1} s)",
             self.get(Variant::Seq).report.time.as_secs_f64()
         );
         println!("{}", table_header());
-        for r in &self.runs {
-            if r.variant != Variant::Seq {
-                println!("{}", r.report.row());
-            }
+        for r in &self.runs[1..] {
+            println!("{}", r.report.row());
         }
     }
 }
@@ -161,10 +180,19 @@ fn assert_close(label: &str, variant: Variant, got: &[f64], want: &[f64], tol: f
     }
 }
 
-/// Run the sequential reference and all four parallel variants of `w`,
-/// enforcing the agreement contract. Panics on any violation — this is
-/// the cross-check every table harness and test goes through.
+/// Run the sequential reference and all five parallel variants of `w`
+/// (see [`run_variants`]).
 pub fn run_matrix(w: &(impl Workload + ?Sized)) -> WorkloadMatrix {
+    run_variants(w, &Variant::PARALLEL)
+}
+
+/// Run the sequential reference, then each of `variants` in order,
+/// enforcing the agreement contract: every variant against the
+/// sequential result under `w`'s [`CheckMode`], and the Tmk builds
+/// present bitwise against each other. Panics on any violation — this
+/// is the cross-check every table harness and test goes through.
+pub fn run_variants(w: &(impl Workload + ?Sized), variants: &[Variant]) -> WorkloadMatrix {
+    assert!(!variants.contains(&Variant::Seq), "the sequential reference always runs first");
     let label = w.label();
     let (seq_report, seq_x) = w.run(Variant::Seq, SimTime::ZERO);
     let seq_time = seq_report.time;
@@ -173,7 +201,7 @@ pub fn run_matrix(w: &(impl Workload + ?Sized)) -> WorkloadMatrix {
         report: seq_report,
         x: seq_x,
     }];
-    for v in Variant::PARALLEL {
+    for &v in variants {
         let (report, x) = w.run(v, seq_time);
         match w.check_mode() {
             CheckMode::Bitwise => {
@@ -193,17 +221,17 @@ pub fn run_matrix(w: &(impl Workload + ?Sized)) -> WorkloadMatrix {
     // The Tmk family is bitwise-identical regardless of the seq
     // contract: the protocol layers (compiler aggregation, adaptive
     // prefetch, update-push) only move fetches, never change data.
-    let matrix = WorkloadMatrix { label, runs };
-    let base = &matrix.get(Variant::TmkBase).x;
-    for v in Variant::TMK.into_iter().filter(|&v| v != Variant::TmkBase) {
-        assert_eq!(
-            &matrix.get(v).x,
-            base,
-            "{}/{v:?}: Tmk builds must be bitwise identical",
-            matrix.label
-        );
+    let mut tmk = runs.iter().filter(|r| Variant::TMK.contains(&r.variant));
+    if let Some(first) = tmk.next() {
+        for r in tmk {
+            assert_eq!(
+                r.x, first.x,
+                "{label}/{:?}: Tmk builds must be bitwise identical",
+                r.variant
+            );
+        }
     }
-    matrix
+    WorkloadMatrix { label, runs }
 }
 
 fn flatten3(x: &[[f64; 3]]) -> Vec<f64> {
@@ -243,24 +271,12 @@ impl Workload for MoldynWorkload {
                 let x = flatten3(&r.x);
                 (r.report, x)
             }
-            Variant::TmkBase => {
-                let (r, x) = moldyn::run_tmk(&self.cfg, &self.world, TmkMode::Base, seq_time);
-                (r, flatten3(&x))
-            }
-            Variant::TmkOpt => {
-                let (r, x) = moldyn::run_tmk(&self.cfg, &self.world, TmkMode::Optimized, seq_time);
-                (r, flatten3(&x))
-            }
-            Variant::TmkAdaptive => {
-                let (r, x) = moldyn::run_adaptive(&self.cfg, &self.world, seq_time);
-                (r, flatten3(&x))
-            }
-            Variant::TmkPush => {
-                let (r, x) = moldyn::run_push(&self.cfg, &self.world, seq_time);
-                (r, flatten3(&x))
-            }
             Variant::Chaos => {
                 let (r, x) = moldyn::run_chaos(&self.cfg, &self.world, seq_time);
+                (r, flatten3(&x))
+            }
+            tmk => {
+                let (r, x) = moldyn::run_tmk(&self.cfg, &self.world, tmk, seq_time);
                 (r, flatten3(&x))
             }
         }
@@ -292,11 +308,8 @@ impl Workload for NbfWorkload {
                 let x = r.x.clone();
                 (r.report, x)
             }
-            Variant::TmkBase => nbf::run_tmk(&self.cfg, &self.world, TmkMode::Base, seq_time),
-            Variant::TmkOpt => nbf::run_tmk(&self.cfg, &self.world, TmkMode::Optimized, seq_time),
-            Variant::TmkAdaptive => nbf::run_adaptive(&self.cfg, &self.world, seq_time),
-            Variant::TmkPush => nbf::run_push(&self.cfg, &self.world, seq_time),
             Variant::Chaos => nbf::run_chaos(&self.cfg, &self.world, seq_time),
+            tmk => nbf::run_tmk(&self.cfg, &self.world, tmk, seq_time),
         }
     }
 }
@@ -331,11 +344,8 @@ impl Workload for UmeshWorkload {
                 let x = r.x.clone();
                 (r.report, x)
             }
-            Variant::TmkBase => umesh::run_tmk(&self.cfg, &self.mesh, TmkMode::Base, seq_time),
-            Variant::TmkOpt => umesh::run_tmk(&self.cfg, &self.mesh, TmkMode::Optimized, seq_time),
-            Variant::TmkAdaptive => umesh::run_adaptive(&self.cfg, &self.mesh, seq_time),
-            Variant::TmkPush => umesh::run_push(&self.cfg, &self.mesh, seq_time),
             Variant::Chaos => umesh::run_chaos(&self.cfg, &self.mesh, seq_time),
+            tmk => umesh::run_tmk(&self.cfg, &self.mesh, tmk, seq_time),
         }
     }
 }
@@ -348,12 +358,18 @@ mod tests {
     fn variant_labels_match_system_kinds() {
         assert_eq!(Variant::Seq.label(), "seq");
         assert_eq!(Variant::TmkBase.label(), "Tmk base");
+        assert_eq!(Variant::TmkOpt.label(), "Tmk optimized");
+        assert_eq!(Variant::TmkAdaptive.label(), "Tmk adaptive");
         assert_eq!(Variant::TmkPush.label(), "Tmk push");
         assert_eq!(Variant::Chaos.label(), "CHAOS");
         assert_eq!(Variant::ALL.len(), 6);
         assert_eq!(Variant::PARALLEL.len(), 5);
         assert!(!Variant::PARALLEL.contains(&Variant::Seq));
         assert!(Variant::TMK.iter().all(|v| Variant::PARALLEL.contains(v)));
+        let knobs = adapt::AdaptConfig::default();
+        for v in Variant::ALL {
+            assert_eq!(v.policy(&knobs).is_some(), v.is_adaptive(), "{v:?}");
+        }
     }
 
     #[test]

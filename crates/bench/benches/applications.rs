@@ -6,8 +6,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
+use apps::moldyn::{self, MoldynConfig};
 use apps::nbf::{self, NbfConfig};
+use apps::workload::Variant;
 
 fn tiny_moldyn() -> MoldynConfig {
     let mut cfg = MoldynConfig::small();
@@ -26,11 +27,11 @@ fn bench_moldyn(c: &mut Criterion) {
 
     g.bench_function("seq", |b| b.iter(|| black_box(moldyn::run_seq(&cfg, &world).report.time)));
     g.bench_function("tmk_base", |b| {
-        b.iter(|| black_box(moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time).0.time))
+        b.iter(|| black_box(moldyn::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time).0.time))
     });
     g.bench_function("tmk_opt", |b| {
         b.iter(|| {
-            black_box(moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time).0.time)
+            black_box(moldyn::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time).0.time)
         })
     });
     g.bench_function("chaos", |b| {
@@ -50,11 +51,11 @@ fn bench_nbf(c: &mut Criterion) {
 
     g.bench_function("seq", |b| b.iter(|| black_box(nbf::run_seq(&cfg, &world).report.time)));
     g.bench_function("tmk_base", |b| {
-        b.iter(|| black_box(nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time).0.time))
+        b.iter(|| black_box(nbf::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time).0.time))
     });
     g.bench_function("tmk_opt", |b| {
         b.iter(|| {
-            black_box(nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time).0.time)
+            black_box(nbf::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time).0.time)
         })
     });
     g.bench_function("chaos", |b| {

@@ -1,5 +1,7 @@
-//! Ablations beyond the paper's tables — the design choices DESIGN.md
-//! calls out. Run one (or all) studies:
+//! Ablations beyond the paper's tables — the design choices behind the
+//! variants ARCHITECTURE.md ("The six system variants") describes. Run
+//! one (or all) studies; every point is cross-checked against the
+//! sequential reference by `run_variants`:
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablation -- [study] [--quick]
@@ -11,8 +13,10 @@
 //!   opt-levels    base vs aggregation-only vs full optimization
 //! ```
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
+use apps::moldyn::MoldynConfig;
+use apps::nbf::NbfConfig;
+use apps::workload::{run_variants, MoldynWorkload, NbfWorkload, Variant};
+use apps::RunReport;
 use bench::Scale;
 use chaos::{block_partition, inspector, ChaosWorld, TTable, TTableCache, TTableKind};
 
@@ -39,6 +43,12 @@ fn main() {
     }
 }
 
+/// Run `variants` of moldyn at `cfg`, returning their reports in order.
+fn moldyn_runs<const N: usize>(cfg: MoldynConfig, variants: [Variant; N]) -> [RunReport; N] {
+    let m = run_variants(&MoldynWorkload::new(cfg), &variants);
+    variants.map(|v| m.get(v).report.clone())
+}
+
 fn moldyn_cfg(scale: Scale, interval: usize) -> MoldynConfig {
     let mut cfg = MoldynConfig::paper(interval);
     if scale == Scale::Quick {
@@ -61,11 +71,7 @@ fn update_freq(scale: Scale) {
         "interval", "CHAOS(s)", "TmkOpt(s)", "opt/chaos", "chaos+inspect"
     );
     for interval in [40usize, 20, 10, 5, 3] {
-        let cfg = moldyn_cfg(scale, interval);
-        let world = moldyn::gen_positions(&cfg);
-        let seq = moldyn::run_seq(&cfg, &world);
-        let (c, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-        let (o, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+        let [c, o] = moldyn_runs(moldyn_cfg(scale, interval), [Variant::Chaos, Variant::TmkOpt]);
         println!(
             "{:<10} {:>10.1} {:>10.1} {:>12.2} {:>14.1}",
             interval,
@@ -91,9 +97,8 @@ fn page_size(scale: Scale) {
             cfg.n = 8000;
             cfg.partners = 50;
         }
-        let world = nbf::gen_world(&cfg);
-        let seq = nbf::run_seq(&cfg, &world);
-        let (o, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+        let m = run_variants(&NbfWorkload::new(cfg), &[Variant::TmkOpt]);
+        let o = &m.get(Variant::TmkOpt).report;
         println!(
             "{:<10} {:>10.1} {:>10} {:>10.1}",
             page,
@@ -155,11 +160,7 @@ fn scaling(scale: Scale) {
     for nprocs in [1usize, 2, 4, 8] {
         let mut cfg = moldyn_cfg(scale, 20);
         cfg.nprocs = nprocs;
-        let world = moldyn::gen_positions(&cfg);
-        let seq = moldyn::run_seq(&cfg, &world);
-        let (c, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-        let (b, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-        let (o, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+        let [c, b, o] = moldyn_runs(cfg, bench::PAPER_VARIANTS);
         println!(
             "{:<8} {:>10.1} {:>10.1} {:>10.1}",
             nprocs,
@@ -176,11 +177,7 @@ fn scaling(scale: Scale) {
 /// (no *_ALL epilogue), then full.
 fn opt_levels(scale: Scale) {
     println!("\n=== Ablation: optimization levels (moldyn) ===");
-    let cfg = moldyn_cfg(scale, 20);
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (b, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (o, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+    let [b, o] = moldyn_runs(moldyn_cfg(scale, 20), [Variant::TmkBase, Variant::TmkOpt]);
     println!("base:      {:>8.1} s  {:>9} msgs  {:>7.1} MB", b.time.as_secs_f64(), b.messages, b.megabytes());
     println!("optimized: {:>8.1} s  {:>9} msgs  {:>7.1} MB", o.time.as_secs_f64(), o.messages, o.megabytes());
     println!(

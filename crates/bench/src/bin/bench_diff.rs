@@ -2,9 +2,12 @@
 //! snapshots — the golden-count regression gate for `make bench` / CI.
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench_diff              # BENCH_9.json vs BENCH_10.json
+//! cargo run --release -p bench --bin bench_diff              # the two newest snapshots
 //! cargo run --release -p bench --bin bench_diff -- OLD NEW   # explicit files
 //! ```
+//!
+//! With no arguments it diffs the two highest-numbered `BENCH_<N>.json`
+//! files in the current directory, older first.
 //!
 //! Message totals are counted in-simulation, so they are exactly
 //! reproducible: any drift between snapshots means a protocol change.
@@ -117,10 +120,40 @@ fn check_cells_per_sec(old_text: &str, new_text: &str) -> Result<Option<String>,
     )))
 }
 
+/// The two highest-numbered `BENCH_<N>.json` names among `names`,
+/// older first. `N` compares as a number, so `BENCH_10` is newer than
+/// `BENCH_9` (a lexicographic sort would say the opposite).
+fn latest_pair(names: impl IntoIterator<Item = String>) -> Option<(String, String)> {
+    let mut numbered: Vec<(u64, String)> = names
+        .into_iter()
+        .filter_map(|name| {
+            let n = name.strip_prefix("BENCH_")?.strip_suffix(".json")?.parse().ok()?;
+            Some((n, name))
+        })
+        .collect();
+    numbered.sort_unstable();
+    let new = numbered.pop()?.1;
+    let old = numbered.pop()?.1;
+    Some((old, new))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (old_path, new_path) = match args.as_slice() {
-        [] => ("BENCH_9.json".to_string(), "BENCH_10.json".to_string()),
+        [] => {
+            let names = std::fs::read_dir(".")
+                .into_iter()
+                .flatten()
+                .flatten()
+                .filter_map(|e| e.file_name().into_string().ok());
+            match latest_pair(names) {
+                Some(pair) => pair,
+                None => {
+                    eprintln!("bench_diff: fewer than two BENCH_<N>.json files here");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
         [old, new] => (old.clone(), new.clone()),
         _ => {
             eprintln!("usage: bench_diff [OLD.json NEW.json]");
@@ -191,5 +224,20 @@ fn main() -> ExitCode {
              in the same change; if not, a protocol regression slipped in."
         );
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::latest_pair;
+
+    #[test]
+    fn latest_pair_orders_snapshot_numbers_numerically() {
+        let names = ["BENCH_9.json", "README.md", "BENCH_10.json", "BENCH_8.json", "BENCH_x.json"];
+        assert_eq!(
+            latest_pair(names.map(String::from)),
+            Some(("BENCH_9.json".into(), "BENCH_10.json".into()))
+        );
+        assert_eq!(latest_pair(["BENCH_10.json".to_string()]), None);
     }
 }

@@ -8,9 +8,13 @@
 //!
 //! `cargo run --release -p bench --bin overhead1p [-- --quick]`
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
+use apps::moldyn::MoldynConfig;
+use apps::nbf::NbfConfig;
+use apps::workload::{run_variants, MoldynWorkload, NbfWorkload, Variant};
 use bench::Scale;
+
+/// The runs this bin prints, in print order (sequential always first).
+const SHOWN: [Variant; 3] = [Variant::Seq, Variant::TmkOpt, Variant::Chaos];
 
 fn main() {
     let scale = Scale::from_args();
@@ -24,12 +28,10 @@ fn main() {
         cfg.n = 2048;
         cfg.cutoff_frac = 0.2;
     }
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
+    let m = run_variants(&MoldynWorkload::new(cfg), &SHOWN[1..]);
+    let [seq, opt, chaos] = SHOWN.map(|v| &m.get(v).report);
     println!("moldyn (update every 20):");
-    println!("  sequential            {:8.1} s", seq.report.time.as_secs_f64());
+    println!("  sequential            {:8.1} s", seq.time.as_secs_f64());
     println!(
         "  TreadMarks, 1 proc    {:8.1} s   (indirection check {:.2} s)",
         opt.time.as_secs_f64(),
@@ -48,12 +50,10 @@ fn main() {
         cfg.n /= 8;
         cfg.partners = 50;
     }
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-    let (opt, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (chaos, _) = nbf::run_chaos(&cfg, &world, seq.report.time);
+    let m = run_variants(&NbfWorkload::new(cfg), &SHOWN[1..]);
+    let [seq, opt, chaos] = SHOWN.map(|v| &m.get(v).report);
     println!("\nnbf (64 x 1024):");
-    println!("  sequential            {:8.1} s", seq.report.time.as_secs_f64());
+    println!("  sequential            {:8.1} s", seq.time.as_secs_f64());
     println!(
         "  TreadMarks, 1 proc    {:8.1} s   (indirection scan {:.3} s)",
         opt.time.as_secs_f64(),

@@ -28,40 +28,60 @@
 
 use std::sync::Arc;
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
+use apps::moldyn::{self, MoldynConfig};
+use apps::nbf::NbfConfig;
 use apps::report::RunReport;
-use apps::umesh::{self, UmeshConfig};
-use bench::{print_group, Scale};
+use apps::umesh::UmeshConfig;
+use apps::workload::{
+    run_variants, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant, Workload, WorkloadMatrix,
+};
+use bench::Scale;
 use trace::{chrome_trace_json, json_well_formed, with_trace_sink, Tracer};
 
 struct Group {
     app: &'static str,
-    seq_secs: f64,
-    base: RunReport,
-    opt: RunReport,
-    adaptive: RunReport,
-    push: RunReport,
+    m: WorkloadMatrix,
 }
 
 impl Group {
+    /// Run the four Tmk builds of `w`: `run_variants` checks them
+    /// against the sequential reference and bitwise against each other.
+    fn run(app: &'static str, w: &impl Workload) -> Group {
+        Group {
+            app,
+            m: run_variants(w, &Variant::TMK),
+        }
+    }
+
+    fn base(&self) -> &RunReport {
+        &self.m.get(Variant::TmkBase).report
+    }
+
+    fn opt(&self) -> &RunReport {
+        &self.m.get(Variant::TmkOpt).report
+    }
+
+    fn adaptive(&self) -> &RunReport {
+        &self.m.get(Variant::TmkAdaptive).report
+    }
+
+    fn push(&self) -> &RunReport {
+        &self.m.get(Variant::TmkPush).report
+    }
+
     fn reduction_vs_base(&self) -> f64 {
-        100.0 * (self.base.messages.saturating_sub(self.adaptive.messages)) as f64
-            / self.base.messages.max(1) as f64
+        100.0 * (self.base().messages.saturating_sub(self.adaptive().messages)) as f64
+            / self.base().messages.max(1) as f64
     }
 
     fn print(&self) {
-        print_group(
-            self.app,
-            self.seq_secs,
-            &[&self.base, &self.opt, &self.adaptive, &self.push],
-        );
-        let pol = self.adaptive.policy.clone().expect("adaptive policy report");
+        self.m.print_titled(self.app);
+        let pol = self.adaptive().policy.clone().expect("adaptive policy report");
         println!(
             "  adaptive vs base: {:.1}% fewer messages (opt reaches {:.1}%)",
             self.reduction_vs_base(),
-            100.0 * (self.base.messages.saturating_sub(self.opt.messages)) as f64
-                / self.base.messages.max(1) as f64,
+            100.0 * (self.base().messages.saturating_sub(self.opt().messages)) as f64
+                / self.base().messages.max(1) as f64,
         );
         println!(
             "  policy decisions: {} epochs, {} promotions, {} demotions, {} probes; \
@@ -85,12 +105,12 @@ impl Group {
                 row.phase, row.deferred_plans, row.quiesced_plans, row.quiesced_pages
             );
         }
-        let pp = self.push.policy.clone().expect("push policy report");
+        let pp = self.push().policy.clone().expect("push policy report");
         println!(
             "  update-push: {:.1}% fewer messages than pull-mode adaptive \
              ({} push rounds covering {} pages, {} one-way subscription msgs counted)",
-            100.0 * (self.adaptive.messages.saturating_sub(self.push.messages)) as f64
-                / self.adaptive.messages.max(1) as f64,
+            100.0 * (self.adaptive().messages.saturating_sub(self.push().messages)) as f64
+                / self.adaptive().messages.max(1) as f64,
             pp.push_rounds,
             pp.push_pages,
             pp.subscriptions,
@@ -108,22 +128,7 @@ fn moldyn_group(scale: Scale) -> Group {
         cfg.cutoff_frac = 0.2;
         cfg.page_size = 1024;
     }
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (base, xb) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (adaptive, xa) = moldyn::run_adaptive(&cfg, &world, seq.report.time);
-    let (push, xp) = moldyn::run_push(&cfg, &world, seq.report.time);
-    assert_eq!(xa, xb, "moldyn: adaptive must be bitwise identical to base");
-    assert_eq!(xp, xb, "moldyn: push must be bitwise identical to base");
-    Group {
-        app: "moldyn (rebuild every 15 steps)",
-        seq_secs: seq.report.time.as_secs_f64(),
-        base,
-        opt,
-        adaptive,
-        push,
-    }
+    Group::run("moldyn (rebuild every 15 steps)", &MoldynWorkload::new(cfg))
 }
 
 fn nbf_group(scale: Scale) -> Group {
@@ -133,22 +138,7 @@ fn nbf_group(scale: Scale) -> Group {
         cfg.partners = 50;
         cfg.page_size = 1024; // preserve the pages-per-array regime
     }
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-    let (base, xb) = nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    let (adaptive, xa) = nbf::run_adaptive(&cfg, &world, seq.report.time);
-    let (push, xp) = nbf::run_push(&cfg, &world, seq.report.time);
-    assert_eq!(xa, xb, "nbf: adaptive must be bitwise identical to base");
-    assert_eq!(xp, xb, "nbf: push must be bitwise identical to base");
-    Group {
-        app: "nbf (static partner list)",
-        seq_secs: seq.report.time.as_secs_f64(),
-        base,
-        opt,
-        adaptive,
-        push,
-    }
+    Group::run("nbf (static partner list)", &NbfWorkload::new(cfg))
 }
 
 fn umesh_group(scale: Scale) -> Group {
@@ -160,22 +150,7 @@ fn umesh_group(scale: Scale) -> Group {
     } else {
         UmeshConfig::medium()
     };
-    let mesh = umesh::gen_mesh(&cfg);
-    let seq = umesh::run_seq(&cfg, &mesh);
-    let (base, xb) = umesh::run_tmk(&cfg, &mesh, TmkMode::Base, seq.report.time);
-    let (opt, _) = umesh::run_tmk(&cfg, &mesh, TmkMode::Optimized, seq.report.time);
-    let (adaptive, xa) = umesh::run_adaptive(&cfg, &mesh, seq.report.time);
-    let (push, xp) = umesh::run_push(&cfg, &mesh, seq.report.time);
-    assert_eq!(xa, xb, "umesh: adaptive must be bitwise identical to base");
-    assert_eq!(xp, xb, "umesh: push must be bitwise identical to base");
-    Group {
-        app: "umesh (static mesh)",
-        seq_secs: seq.report.time.as_secs_f64(),
-        base,
-        opt,
-        adaptive,
-        push,
-    }
+    Group::run("umesh (static mesh)", &UmeshWorkload::new(cfg))
 }
 
 fn main() {
@@ -193,22 +168,22 @@ fn main() {
     // Acceptance checks, per the simnet counters.
     for g in &groups {
         assert!(
-            g.adaptive.messages <= g.base.messages,
+            g.adaptive().messages <= g.base().messages,
             "{}: adaptive sent MORE messages than plain Tmk ({} > {})",
             g.app,
-            g.adaptive.messages,
-            g.base.messages
+            g.adaptive().messages,
+            g.base().messages
         );
         assert!(
-            g.push.messages <= g.adaptive.messages,
+            g.push().messages <= g.adaptive().messages,
             "{}: push sent MORE messages than pull-mode adaptive ({} > {})",
             g.app,
-            g.push.messages,
-            g.adaptive.messages
+            g.push().messages,
+            g.adaptive().messages
         );
     }
     for g in &groups {
-        let pp = g.push.policy.as_ref().expect("push policy report");
+        let pp = g.push().policy.as_ref().expect("push policy report");
         assert!(
             pp.subscriptions > 0,
             "{}: push must pay its subscription traffic (0 AdaptSub billed)",
@@ -223,17 +198,17 @@ fn main() {
             g.reduction_vs_base()
         );
         assert!(
-            g.push.messages < g.adaptive.messages,
+            g.push().messages < g.adaptive().messages,
             "{}: update-push must be strictly cheaper than prefetch ({} !< {})",
             g.app,
-            g.push.messages,
-            g.adaptive.messages
+            g.push().messages,
+            g.adaptive().messages
         );
         // The phase-keyed quiesce win: the multi-barrier apps' plans
         // build per-site streaks and the final exchanges go untriggered
         // — a globally-keyed streak never fires here, because the
         // alternating barrier sites reset it every epoch.
-        let pol = g.adaptive.policy.as_ref().expect("adaptive policy report");
+        let pol = g.adaptive().policy.as_ref().expect("adaptive policy report");
         assert!(
             pol.deferred_plans > 0,
             "{}: phase-keyed streaks must defer steady plans",
@@ -277,7 +252,7 @@ fn write_trace(path: &str) {
     let seq = moldyn::run_seq(&cfg, &world);
     let tracer = Arc::new(Tracer::new(cfg.nprocs, 1 << 16));
     let _ = with_trace_sink(tracer.clone(), || {
-        moldyn::run_adaptive(&cfg, &world, seq.report.time)
+        moldyn::run_tmk(&cfg, &world, Variant::TmkAdaptive, seq.report.time)
     });
     let trace = tracer.capture();
     let json = chrome_trace_json(&trace);

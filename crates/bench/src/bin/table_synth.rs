@@ -23,18 +23,8 @@
 //! * on *static*-indirection scenarios CHAOS beats plain Tmk on both
 //!   messages and time, as the paper predicts (its inspector amortizes
 //!   perfectly when the list never changes).
-//!
-//! In `--quick` mode it additionally re-runs the three classic apps
-//! through the `Workload` trait and asserts the counts equal the direct
-//! per-app calls' — the refactor-safety check that the trait harness
-//! changes nothing.
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
-use apps::umesh::{self, UmeshConfig};
-use apps::workload::{
-    run_matrix, MoldynWorkload, NbfWorkload, UmeshWorkload, Variant, WorkloadMatrix,
-};
+use apps::workload::{run_matrix, Variant, WorkloadMatrix};
 use bench::Scale;
 use synth::{notice_meta_probe, scenario_grid, Dynamics, Scenario, Structure, SynthConfig};
 
@@ -122,10 +112,6 @@ fn main() {
 
     notice_scaling_probe();
 
-    if quick {
-        classic_apps_through_trait();
-    }
-
     if let Some(path) = arg_value("--trace") {
         let cfg = first_cell.expect("grid is never empty");
         let tracer = std::sync::Arc::new(trace::Tracer::new(cfg.nprocs, 1 << 16));
@@ -181,74 +167,4 @@ fn notice_scaling_probe() {
         "barrier metadata super-linear in nprocs: p64 {nb64} B vs p16 {nb16} B"
     );
     println!("metadata cost ~linear in nprocs (64-proc < 4x the 16-proc bytes)  ✓");
-}
-
-/// The refactor-safety check: each classic app, run through the
-/// `Workload` trait, must reproduce the direct per-app calls' counts
-/// exactly (`run_matrix` checked physics agreement already).
-fn classic_apps_through_trait() {
-    println!("\n--- classic apps through the Workload trait (vs direct calls) ---");
-
-    let cfg = MoldynConfig::small();
-    let w = MoldynWorkload::new(cfg.clone());
-    let m = run_matrix(&w);
-    let seq = moldyn::run_seq(&cfg, &w.world);
-    let direct = [
-        (Variant::TmkBase, moldyn::run_tmk(&cfg, &w.world, TmkMode::Base, seq.report.time).0),
-        (Variant::TmkOpt, moldyn::run_tmk(&cfg, &w.world, TmkMode::Optimized, seq.report.time).0),
-        (Variant::TmkAdaptive, moldyn::run_adaptive(&cfg, &w.world, seq.report.time).0),
-        (Variant::TmkPush, moldyn::run_push(&cfg, &w.world, seq.report.time).0),
-        (Variant::Chaos, moldyn::run_chaos(&cfg, &w.world, seq.report.time).0),
-    ];
-    assert_counts_match(&m, &direct);
-
-    let cfg = NbfConfig::small();
-    let w = NbfWorkload::new(cfg.clone());
-    let m = run_matrix(&w);
-    let seq = nbf::run_seq(&cfg, &w.world);
-    let direct = [
-        (Variant::TmkBase, nbf::run_tmk(&cfg, &w.world, TmkMode::Base, seq.report.time).0),
-        (Variant::TmkOpt, nbf::run_tmk(&cfg, &w.world, TmkMode::Optimized, seq.report.time).0),
-        (Variant::TmkAdaptive, nbf::run_adaptive(&cfg, &w.world, seq.report.time).0),
-        (Variant::TmkPush, nbf::run_push(&cfg, &w.world, seq.report.time).0),
-        (Variant::Chaos, nbf::run_chaos(&cfg, &w.world, seq.report.time).0),
-    ];
-    assert_counts_match(&m, &direct);
-
-    let cfg = UmeshConfig::small();
-    let w = UmeshWorkload::new(cfg.clone());
-    let m = run_matrix(&w);
-    let seq = umesh::run_seq(&cfg, &w.mesh);
-    let direct = [
-        (Variant::TmkBase, umesh::run_tmk(&cfg, &w.mesh, TmkMode::Base, seq.report.time).0),
-        (Variant::TmkOpt, umesh::run_tmk(&cfg, &w.mesh, TmkMode::Optimized, seq.report.time).0),
-        (Variant::TmkAdaptive, umesh::run_adaptive(&cfg, &w.mesh, seq.report.time).0),
-        (Variant::TmkPush, umesh::run_push(&cfg, &w.mesh, seq.report.time).0),
-        (Variant::Chaos, umesh::run_chaos(&cfg, &w.mesh, seq.report.time).0),
-    ];
-    assert_counts_match(&m, &direct);
-
-    println!("moldyn, nbf, umesh: trait-harness counts == direct-call counts  ✓");
-}
-
-fn assert_counts_match(m: &WorkloadMatrix, direct: &[(Variant, apps::RunReport)]) {
-    for (v, d) in direct {
-        let t = &m.get(*v).report;
-        assert_eq!(
-            (t.messages, t.bytes),
-            (d.messages, d.bytes),
-            "{} {:?}: trait harness diverged from direct call",
-            m.label,
-            v
-        );
-    }
-    println!(
-        "{:<24} base {:>6} msgs | opt {:>6} | adaptive {:>6} | push {:>6} | CHAOS {:>6}   (= direct)",
-        m.label,
-        m.get(Variant::TmkBase).report.messages,
-        m.get(Variant::TmkOpt).report.messages,
-        m.get(Variant::TmkAdaptive).report.messages,
-        m.get(Variant::TmkPush).report.messages,
-        m.get(Variant::Chaos).report.messages,
-    );
 }

@@ -6,9 +6,9 @@
 //! * `table1` — moldyn, 16 384 molecules, list rebuilt every {20, 15, 11}
 //!   steps (paper Table 1).
 //! * `table2` — nbf at {64×1024, 64×1000, 32×1024} (paper Table 2).
-//! * `table_adapt` — the four-system comparison (seq / Tmk base /
-//!   Tmk+compiler / Tmk adaptive) on all three apps, with the adaptive
-//!   engine's policy-decision counters and acceptance checks.
+//! * `table_adapt` — the five-system comparison (seq and the four Tmk
+//!   builds: base, compiler, adaptive, push) on all three apps, with the
+//!   adaptive engine's policy-decision counters and acceptance checks.
 //! * `figures` — regenerates Figure 1 (input), Figure 2 (transformed
 //!   source), and Figure 3 (the Validate interface, as implemented).
 //! * `overhead1p` — the §5 single-processor sanity numbers.
@@ -18,9 +18,9 @@
 //! Criterion benches (`cargo bench`): protocol microbenchmarks (diffs,
 //! sections, inspector, barriers) and small-scale end-to-end runs.
 
-use apps::moldyn::{self, MoldynConfig, TmkMode};
-use apps::nbf::{self, NbfConfig};
-use apps::report::{table_header, RunReport};
+use apps::moldyn::MoldynConfig;
+use apps::nbf::NbfConfig;
+use apps::workload::{run_variants, MoldynWorkload, NbfWorkload, Variant, WorkloadMatrix};
 
 /// Scale factors for quick runs (`--quick` on the binaries): smaller n,
 /// fewer steps — same structure, minutes → seconds.
@@ -54,90 +54,24 @@ pub fn churn_budget(cfg: &synth::SynthConfig) -> u64 {
     adapt::probe_budget(cfg.adapt.probe_every, pages, cfg.iters as u64)
 }
 
-/// One Table-1 cell group: the three systems at one update interval.
-pub struct MoldynRows {
-    pub update_interval: usize,
-    pub seq_secs: f64,
-    pub chaos: RunReport,
-    pub base: RunReport,
-    pub opt: RunReport,
-}
+/// The paper's three parallel systems, in Table 1/2 row order.
+pub const PAPER_VARIANTS: [Variant; 3] = [Variant::Chaos, Variant::TmkBase, Variant::TmkOpt];
 
-/// Run the three systems for one moldyn configuration.
-pub fn moldyn_rows(mut cfg: MoldynConfig, scale: Scale) -> MoldynRows {
+/// Run the paper's three systems for one moldyn configuration
+/// (cross-checked against the sequential reference).
+pub fn moldyn_rows(mut cfg: MoldynConfig, scale: Scale) -> WorkloadMatrix {
     if scale == Scale::Quick {
         cfg.n = 2048;
         cfg.cutoff_frac = 0.2;
     }
-    let world = moldyn::gen_positions(&cfg);
-    let seq = moldyn::run_seq(&cfg, &world);
-    let (chaos, xc) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-    let (base, xb) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, xo) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    verify3(&seq.x, &xc, &xb, &xo);
-    MoldynRows {
-        update_interval: cfg.update_interval,
-        seq_secs: seq.report.time.as_secs_f64(),
-        chaos,
-        base,
-        opt,
-    }
+    run_variants(&MoldynWorkload::new(cfg), &PAPER_VARIANTS)
 }
 
-/// One Table-2 cell group.
-pub struct NbfRows {
-    pub n: usize,
-    pub seq_secs: f64,
-    pub chaos: RunReport,
-    pub base: RunReport,
-    pub opt: RunReport,
-}
-
-pub fn nbf_rows(mut cfg: NbfConfig, scale: Scale) -> NbfRows {
+/// Run the paper's three systems for one nbf configuration.
+pub fn nbf_rows(mut cfg: NbfConfig, scale: Scale) -> WorkloadMatrix {
     if scale == Scale::Quick {
         cfg.n /= 8;
         cfg.partners = 50;
     }
-    let world = nbf::gen_world(&cfg);
-    let seq = nbf::run_seq(&cfg, &world);
-    let (chaos, xc) = nbf::run_chaos(&cfg, &world, seq.report.time);
-    let (base, xb) = nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, xo) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
-    for (label, got) in [("chaos", &xc), ("base", &xb), ("opt", &xo)] {
-        for (g, w) in got.iter().zip(&seq.x) {
-            assert!(
-                (g - w).abs() <= 1e-9 + 1e-9 * w.abs(),
-                "{label} diverged from sequential"
-            );
-        }
-    }
-    NbfRows {
-        n: cfg.n,
-        seq_secs: seq.report.time.as_secs_f64(),
-        chaos,
-        base,
-        opt,
-    }
-}
-
-fn verify3(seq: &[[f64; 3]], a: &[[f64; 3]], b: &[[f64; 3]], c: &[[f64; 3]]) {
-    for got in [a, b, c] {
-        for (g, w) in got.iter().zip(seq) {
-            for d in 0..3 {
-                assert!(
-                    (g[d] - w[d]).abs() <= 1e-9 + 1e-9 * w[d].abs(),
-                    "parallel result diverged from sequential"
-                );
-            }
-        }
-    }
-}
-
-/// Print one group as a paper-style block.
-pub fn print_group(title: &str, seq_secs: f64, rows: &[&RunReport]) {
-    println!("\n{title}  (seq = {seq_secs:.1} s)");
-    println!("{}", table_header());
-    for r in rows {
-        println!("{}", r.row());
-    }
+    run_variants(&NbfWorkload::new(cfg), &PAPER_VARIANTS)
 }

@@ -1,6 +1,6 @@
 //! The cluster: per-processor logical clocks plus traffic accounting.
 //!
-//! Clock discipline (DESIGN.md §5):
+//! Clock discipline (ARCHITECTURE.md, "Simulation honesty rules"):
 //!
 //! * A processor's own thread advances its clock with [`Net::advance`]
 //!   (modeled compute) and the `charge_*` helpers (protocol actions).

@@ -1,4 +1,4 @@
-//! The generic gather–compute–scatter reduction kernel, in all five
+//! The generic gather–compute–scatter reduction kernel, in all six
 //! system variants.
 //!
 //! Each iteration walks the effective interaction list: a *flux* is
@@ -11,7 +11,7 @@
 //! All parallel builds use the fixed-order **owner-side** reduction
 //! (the owner of element `i` recomputes each of `i`'s incident fluxes
 //! from the coherent start-of-iteration values, in global list order),
-//! so seq, Tmk base, Tmk optimized, Tmk adaptive, and CHAOS agree
+//! so seq, the four Tmk builds, and CHAOS agree
 //! **bitwise** on every scenario — the contract `table_synth` asserts
 //! across the whole grid.
 
@@ -25,14 +25,15 @@ use sdsm_core::{
 use simnet::{MsgKind, SimTime};
 
 use apps::harness::Capture;
-use apps::report::{RunReport, SystemKind};
+use apps::report::RunReport;
 use apps::work;
+use apps::workload::Variant;
 use chaos::{
     block_partition, gather, inspector, ChaosWorld, Ghosted, Partition, TTable, TTableCache,
     TTableKind,
 };
 
-use crate::{Dynamics, SynthConfig, SynthWorld, TmkMode};
+use crate::{Dynamics, SynthConfig, SynthWorld};
 
 /// Barrier-site phase tag of the end-of-iteration barrier (see
 /// `apps::phases` for the idea). Under [`Dynamics::Alternating`] the
@@ -93,7 +94,7 @@ pub fn run_seq(cfg: &SynthConfig, world: &SynthWorld) -> (RunReport, Vec<f64>) {
     let checksum = x.iter().map(|v| v.abs()).sum();
     (
         RunReport {
-            system: SystemKind::Sequential,
+            system: Variant::Seq,
             time,
             seq_time: time,
             messages: 0,
@@ -232,15 +233,16 @@ pub(crate) fn plan(cfg: &SynthConfig, world: &SynthWorld) -> Plan {
     }
 }
 
-/// The kernel on the DSM: base / optimized / adaptive, selected by
-/// `mode` exactly as in the three classic apps.
+/// The kernel on the DSM as `variant` (one of [`Variant::TMK`]), exactly
+/// as in the three classic apps; the adaptive builds take their knobs
+/// from `cfg.adapt`.
 pub fn run_tmk(
     cfg: &SynthConfig,
     world: &SynthWorld,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
 ) -> (RunReport, Vec<f64>) {
-    let (report, x, _) = run_tmk_counted(cfg, world, mode, seq_time);
+    let (report, x, _) = run_tmk_counted(cfg, world, variant, seq_time);
     (report, x)
 }
 
@@ -251,7 +253,7 @@ pub fn run_tmk(
 /// workload at two cluster sizes and asserts the figure stays
 /// ~linear in nprocs — the flat-digest + sparse-clock contract.
 pub fn notice_meta_probe(cfg: &SynthConfig, world: &SynthWorld) -> u64 {
-    run_tmk_counted(cfg, world, TmkMode::Base, SimTime::ZERO).2
+    run_tmk_counted(cfg, world, Variant::TmkBase, SimTime::ZERO).2
 }
 
 thread_local! {
@@ -265,10 +267,10 @@ thread_local! {
 fn run_tmk_counted(
     cfg: &SynthConfig,
     world: &SynthWorld,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
 ) -> (RunReport, Vec<f64>, u64) {
-    run_tmk_prepared(cfg, world, &plan(cfg, world), mode, seq_time, false)
+    run_tmk_prepared(cfg, world, &plan(cfg, world), variant, seq_time, false)
 }
 
 /// The Tmk kernel against a prebuilt [`Plan`] — the shared-setup entry
@@ -279,10 +281,11 @@ pub(crate) fn run_tmk_prepared(
     cfg: &SynthConfig,
     world: &SynthWorld,
     pl: &Plan,
-    mode: TmkMode,
+    variant: Variant,
     seq_time: SimTime,
     reuse: bool,
 ) -> (RunReport, Vec<f64>, u64) {
+    assert!(Variant::TMK.contains(&variant), "run_tmk: {variant:?} is not a Tmk variant");
     let n = cfg.n;
     let nprocs = cfg.nprocs;
     let cap_pp = pl.cap_pp;
@@ -316,18 +319,14 @@ pub(crate) fn run_tmk_prepared(
     };
 
     cl.run(|p| {
-        if mode.is_adaptive() {
-            let knobs = adapt::AdaptConfig {
-                push: mode == TmkMode::Push,
-                ..cfg.adapt.clone()
-            };
-            p.set_policy(Box::new(adapt::AdaptivePolicy::new(knobs)));
+        if let Some(policy) = variant.policy(&cfg.adapt) {
+            p.set_policy(policy);
         }
         let me = p.rank();
         let mut cur_sv = pl.sv_of_iter[0];
         let mut my = pl.parts[pl.sv_part[cur_sv]].range_of(me);
         let my_start = me * cap_pp;
-        let mut v = if mode == TmkMode::Optimized {
+        let mut v = if variant == Variant::TmkOpt {
             Validator::incremental()
         } else {
             Validator::new()
@@ -374,7 +373,7 @@ pub(crate) fn run_tmk_prepared(
                 cur_sv = sv;
             }
             let my_flat = pl.flat[sv][me].len();
-            if mode == TmkMode::Optimized && my_flat > 0 {
+            if variant == Variant::TmkOpt && my_flat > 0 {
                 validate(
                     p,
                     &mut v,
@@ -428,7 +427,7 @@ pub(crate) fn run_tmk_prepared(
         p.barrier();
     });
 
-    let policy = mode.is_adaptive().then(|| cl.net().policy_report());
+    let policy = variant.is_adaptive().then(|| cl.net().policy_report());
 
     let final_x: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n]);
     cl.run(|p| {
@@ -446,7 +445,7 @@ pub(crate) fn run_tmk_prepared(
         CLUSTERS.with(|p| p.checkin(cl));
     }
     (
-        cap.report(mode.system_kind(), seq_time, checksum, policy),
+        cap.report(variant, seq_time, checksum, policy),
         final_x,
         notice_bytes,
     )
@@ -629,7 +628,7 @@ pub(crate) fn run_chaos_prepared(
     }
     let checksum = final_x.iter().map(|v| v.abs()).sum();
     (
-        cap.report(SystemKind::Chaos, seq_time, checksum, None),
+        cap.report(Variant::Chaos, seq_time, checksum, None),
         final_x,
     )
 }

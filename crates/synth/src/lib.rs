@@ -18,9 +18,10 @@
 //! Every `(structure, dynamics, nprocs)` cell drives the same generic
 //! gather–compute–scatter reduction kernel ([`kernel`]) with
 //! deterministic seeded output, implements the `apps::Workload` trait,
-//! and therefore runs as all **five** system variants — sequential,
-//! Tmk base, Tmk optimized (`Validate`), Tmk adaptive, and CHAOS — with
-//! **bitwise**-identical results (fixed-order owner-side reduction).
+//! and therefore runs as all **six** system variants — sequential,
+//! Tmk base, Tmk optimized (`Validate`), Tmk adaptive, Tmk push, and
+//! CHAOS — with **bitwise**-identical results (fixed-order owner-side
+//! reduction).
 //! The `table_synth` harness in `bench` sweeps [`scenario_grid`] and
 //! asserts the protocol claims cell by cell: the adaptive policy never
 //! sends more messages than plain Tmk on *any* scenario, and CHAOS wins
@@ -59,8 +60,6 @@ use chaos::{TTable, TTableKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{CostModel, SimTime};
-
-pub use apps::moldyn::TmkMode;
 
 /// Configuration of one synthetic scenario.
 #[derive(Debug, Clone)]
@@ -132,7 +131,7 @@ impl SynthConfig {
 }
 
 /// The generated workload: initial values plus every distinct effective
-/// list the run will use — a pure function of the config, so all five
+/// list the run will use — a pure function of the config, so all six
 /// variants see identical structure with no shared mutable state.
 #[derive(Debug, Clone)]
 pub struct SynthWorld {
@@ -205,7 +204,7 @@ pub fn gen_world(cfg: &SynthConfig) -> SynthWorld {
 
 /// One runnable scenario: a config plus its generated world. Implements
 /// [`Workload`], so `apps::workload::run_matrix` runs and cross-checks
-/// all five variants. Rebuilds the work plan per run; see [`Prepared`]
+/// all six variants. Rebuilds the work plan per run; see [`Prepared`]
 /// for the shared-setup form serving workloads use.
 pub struct Scenario {
     pub cfg: SynthConfig,
@@ -231,11 +230,8 @@ impl Workload for Scenario {
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
         match v {
             Variant::Seq => run_seq(&self.cfg, &self.world),
-            Variant::TmkBase => run_tmk(&self.cfg, &self.world, TmkMode::Base, seq_time),
-            Variant::TmkOpt => run_tmk(&self.cfg, &self.world, TmkMode::Optimized, seq_time),
-            Variant::TmkAdaptive => run_tmk(&self.cfg, &self.world, TmkMode::Adaptive, seq_time),
-            Variant::TmkPush => run_tmk(&self.cfg, &self.world, TmkMode::Push, seq_time),
             Variant::Chaos => run_chaos(&self.cfg, &self.world, seq_time),
+            tmk => run_tmk(&self.cfg, &self.world, tmk, seq_time),
         }
     }
 }
@@ -315,18 +311,8 @@ impl Workload for Prepared {
     }
 
     fn run(&self, v: Variant, seq_time: SimTime) -> (RunReport, Vec<f64>) {
-        let reuse = self.reuse_enabled();
-        let tmk = |mode| {
-            let (report, x, _) =
-                kernel::run_tmk_prepared(&self.cfg, &self.world, &self.plan, mode, seq_time, reuse);
-            (report, x)
-        };
         match v {
             Variant::Seq => run_seq(&self.cfg, &self.world),
-            Variant::TmkBase => tmk(TmkMode::Base),
-            Variant::TmkOpt => tmk(TmkMode::Optimized),
-            Variant::TmkAdaptive => tmk(TmkMode::Adaptive),
-            Variant::TmkPush => tmk(TmkMode::Push),
             Variant::Chaos => kernel::run_chaos_prepared(
                 &self.cfg,
                 &self.world,
@@ -334,6 +320,17 @@ impl Workload for Prepared {
                 &self.ttables,
                 seq_time,
             ),
+            tmk => {
+                let (report, x, _) = kernel::run_tmk_prepared(
+                    &self.cfg,
+                    &self.world,
+                    &self.plan,
+                    tmk,
+                    seq_time,
+                    self.reuse_enabled(),
+                );
+                (report, x)
+            }
         }
     }
 }

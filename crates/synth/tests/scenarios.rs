@@ -3,7 +3,7 @@
 //! full grid sweep lives in `bench`'s `table_synth`).
 
 use apps::workload::{run_matrix, Variant};
-use synth::{Dynamics, Scenario, Structure, SynthConfig, TmkMode};
+use synth::{Dynamics, Prepared, Scenario, Structure, SynthConfig};
 
 /// Shrink a quick cell further so each test stays fast in debug builds.
 /// The smaller page size preserves the pages-per-processor regime (16
@@ -113,8 +113,8 @@ fn quiesce_saves_the_final_barrier_prefetch_on_identical_epochs() {
 
     let mut eager_cfg = cfg.clone();
     eager_cfg.adapt.quiesce_after = 0; // PR 2 behavior: always eager
-    let (eager, xe) = synth::run_tmk(&eager_cfg, &world, TmkMode::Adaptive, seq.time);
-    let (quiet, xq) = synth::run_tmk(&cfg, &world, TmkMode::Adaptive, seq.time);
+    let (eager, xe) = synth::run_tmk(&eager_cfg, &world, Variant::TmkAdaptive, seq.time);
+    let (quiet, xq) = synth::run_tmk(&cfg, &world, Variant::TmkAdaptive, seq.time);
 
     assert_eq!(xq, xe, "quiesce must not change results");
     let pe = eager.policy.as_ref().expect("policy report");
@@ -243,5 +243,13 @@ fn static_scenarios_reward_chaos_across_structures() {
             chaos.time,
             base.time
         );
+    }
+}
+
+#[test]
+fn prepared_runners_stamp_their_own_variant() {
+    let m = run_matrix(&Prepared::new(tiny(Structure::Uniform, Dynamics::Static)));
+    for v in Variant::ALL {
+        assert_eq!(m.get(v).report.system, v, "{}: runner mislabels {v:?}", m.label);
     }
 }

@@ -5,8 +5,9 @@
 //! cargo run --release --example moldyn
 //! ```
 
-use sdsm_repro::apps::moldyn::{self, MoldynConfig, TmkMode};
+use sdsm_repro::apps::moldyn::{self, MoldynConfig};
 use sdsm_repro::apps::report::table_header;
+use sdsm_repro::apps::Variant;
 
 fn main() {
     let mut cfg = MoldynConfig::paper(10);
@@ -24,8 +25,8 @@ fn main() {
     println!("sequential: {:.1} s (simulated)\n", seq.report.time.as_secs_f64());
 
     let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-    let (base, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+    let (base, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time);
+    let (opt, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time);
 
     println!("{}", table_header());
     for r in [&chaos, &base, &opt] {

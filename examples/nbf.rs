@@ -6,8 +6,9 @@
 //! cargo run --release --example nbf
 //! ```
 
-use sdsm_repro::apps::nbf::{self, NbfConfig, TmkMode};
+use sdsm_repro::apps::nbf::{self, NbfConfig};
 use sdsm_repro::apps::report::table_header;
+use sdsm_repro::apps::Variant;
 
 fn main() {
     // 8192 molecules × 8B = 16 pages exactly; 8000 molecules misalign.
@@ -19,8 +20,8 @@ fn main() {
         let world = nbf::gen_world(&cfg);
         let seq = nbf::run_seq(&cfg, &world);
         let (chaos, _) = nbf::run_chaos(&cfg, &world, seq.report.time);
-        let (base, _) = nbf::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-        let (opt, _) = nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+        let (base, _) = nbf::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time);
+        let (opt, _) = nbf::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time);
 
         println!("sequential {:.1} s", seq.report.time.as_secs_f64());
         println!("{}", table_header());

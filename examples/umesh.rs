@@ -7,7 +7,8 @@
 //! ```
 
 use sdsm_repro::apps::report::table_header;
-use sdsm_repro::apps::umesh::{self, TmkMode, UmeshConfig};
+use sdsm_repro::apps::umesh::{self, UmeshConfig};
+use sdsm_repro::apps::Variant;
 
 fn main() {
     let cfg = UmeshConfig::medium();
@@ -29,8 +30,8 @@ fn main() {
     println!("sequential: {:.2} s (simulated)\n", seq.report.time.as_secs_f64());
 
     let (chaos, _) = umesh::run_chaos(&cfg, &mesh, seq.report.time);
-    let (base, _) = umesh::run_tmk(&cfg, &mesh, TmkMode::Base, seq.report.time);
-    let (opt, _) = umesh::run_tmk(&cfg, &mesh, TmkMode::Optimized, seq.report.time);
+    let (base, _) = umesh::run_tmk(&cfg, &mesh, Variant::TmkBase, seq.report.time);
+    let (opt, _) = umesh::run_tmk(&cfg, &mesh, Variant::TmkOpt, seq.report.time);
 
     println!("{}", table_header());
     for r in [&chaos, &base, &opt] {

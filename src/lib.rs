@@ -19,7 +19,7 @@
 
 /// The runtime-adaptive aggregation engine (the fourth system variant).
 pub use adapt;
-/// The applications: moldyn and nbf in sequential / Tmk / CHAOS builds.
+/// The applications: moldyn, nbf and umesh in all six variant builds.
 pub use apps;
 /// The CHAOS inspector/executor baseline run-time.
 pub use chaos;

@@ -2,8 +2,9 @@
 //! run-time drives the DSM, and the whole pipeline reproduces the
 //! paper's qualitative results at test scale.
 
-use sdsm_repro::apps::moldyn::{self, MoldynConfig, TmkMode};
+use sdsm_repro::apps::moldyn::{self, MoldynConfig};
 use sdsm_repro::apps::nbf::{self, NbfConfig};
+use sdsm_repro::apps::Variant;
 use sdsm_repro::core_rt::{validate, AccessType, Cluster, Desc, DsmConfig, RegionRef, Validator};
 use sdsm_repro::fcc;
 use sdsm_repro::rsd::Env;
@@ -90,8 +91,8 @@ fn table1_shape_reduced_scale() {
     let world = moldyn::gen_positions(&cfg);
     let seq = moldyn::run_seq(&cfg, &world);
     let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
-    let (base, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Base, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time);
+    let (base, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time);
+    let (opt, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time);
 
     assert!(opt.time < base.time, "aggregation must win over demand paging");
     assert!(opt.messages * 2 < base.messages);
@@ -117,7 +118,7 @@ fn table2_false_sharing_shape() {
         cfg.page_size = 1024;
         let world = nbf::gen_world(&cfg);
         let seq = nbf::run_seq(&cfg, &world);
-        nbf::run_tmk(&cfg, &world, TmkMode::Optimized, seq.report.time).0
+        nbf::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time).0
     };
     let aligned = run(8192); // 8192/8 procs = 1024 f64 = 8 KB: page aligned
     let misaligned = run(8000); // 1000 f64 = 7.8125 pages

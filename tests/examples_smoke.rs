@@ -5,7 +5,7 @@
 //! assertions; scales are cut to keep the whole suite in seconds.
 
 use sdsm_repro::apps::umesh::{self, UmeshConfig};
-use sdsm_repro::apps::{moldyn, nbf};
+use sdsm_repro::apps::{moldyn, nbf, Variant};
 use sdsm_repro::core_rt::{Cluster, DsmConfig};
 use sdsm_repro::{apps, fcc};
 
@@ -60,8 +60,8 @@ fn moldyn_example_path() {
     cfg.update_interval = 2;
     let world = moldyn::gen_positions(&cfg);
     let seq = moldyn::run_seq(&cfg, &world);
-    let (base, _) = moldyn::run_tmk(&cfg, &world, moldyn::TmkMode::Base, seq.report.time);
-    let (opt, _) = moldyn::run_tmk(&cfg, &world, moldyn::TmkMode::Optimized, seq.report.time);
+    let (base, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time);
+    let (opt, _) = moldyn::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time);
     let (chaos, _) = moldyn::run_chaos(&cfg, &world, seq.report.time);
     assert!(opt.messages < base.messages);
     assert!(chaos.time.as_secs_f64() > 0.0);
@@ -75,8 +75,8 @@ fn nbf_example_path() {
     cfg.partners = 8;
     let world = nbf::gen_world(&cfg);
     let seq = nbf::run_seq(&cfg, &world);
-    let (base, _) = nbf::run_tmk(&cfg, &world, nbf::TmkMode::Base, seq.report.time);
-    let (opt, _) = nbf::run_tmk(&cfg, &world, nbf::TmkMode::Optimized, seq.report.time);
+    let (base, _) = nbf::run_tmk(&cfg, &world, Variant::TmkBase, seq.report.time);
+    let (opt, _) = nbf::run_tmk(&cfg, &world, Variant::TmkOpt, seq.report.time);
     assert!(opt.messages < base.messages);
 }
 
@@ -88,7 +88,7 @@ fn umesh_example_path() {
     let mesh = umesh::gen_mesh(&cfg);
     let seq = umesh::run_seq(&cfg, &mesh);
     let (chaos, xc) = umesh::run_chaos(&cfg, &mesh, seq.report.time);
-    let (opt, xo) = umesh::run_tmk(&cfg, &mesh, umesh::TmkMode::Optimized, seq.report.time);
+    let (opt, xo) = umesh::run_tmk(&cfg, &mesh, Variant::TmkOpt, seq.report.time);
     // Fixed-order owner-side accumulation: every build replays the
     // sequential flux order, so agreement is bitwise (same contract as
     // the `all_variants_agree` test in `apps::umesh`).
