@@ -1,12 +1,16 @@
 //! Criterion microbenchmarks of the protocol substrate: diff creation
 //! and application, section algebra and page-set construction, the
-//! inspector's dedup+translate, and barrier rounds. These are the
-//! per-operation costs the paper's run-time systems are built from.
+//! inspector's dedup+translate, `Read_indices`, warm shared reads and
+//! barrier rounds. These are the per-operation costs the paper's
+//! run-time systems are built from.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use std::sync::Mutex;
+
 use dsm::{Cluster, Diff, DsmConfig};
 use rsd::{pages_of_section, Dim, PageSet, Rsd};
+use sdsm_core::{validate, AccessType, Desc, RegionRef, Validator};
 
 fn bench_diff(c: &mut Criterion) {
     let mut g = c.benchmark_group("diff");
@@ -79,6 +83,23 @@ fn bench_dsm_rounds(c: &mut Criterion) {
         })
     });
 
+    // A warm-page `TmkProc::read`: the software MMU's hit path.
+    g.bench_function("read_hit", |b| {
+        let cl = Cluster::new(DsmConfig::with_nprocs(1));
+        let s = cl.alloc::<f64>(4096);
+        let b = Mutex::new(b);
+        cl.run(|p| {
+            for i in 0..s.len() {
+                p.write(&s, i, i as f64);
+            }
+            let mut i = 0;
+            b.lock().unwrap().iter(|| {
+                i = (i + 97) & (s.len() - 1);
+                p.read(&s, black_box(i))
+            });
+        })
+    });
+
     g.bench_function("producer_consumer_page", |b| {
         let cl = Cluster::new(DsmConfig::with_nprocs(2));
         let s = cl.alloc::<f64>(512);
@@ -125,5 +146,62 @@ fn bench_inspector(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_diff, bench_rsd, bench_dsm_rounds, bench_inspector);
+/// `Read_indices` over a 16 Ki-entry indirection section (16 pages of
+/// `i32`) targeting 128 pages of `f64`, on one processor. Each iteration
+/// rewrites one indirection entry, so `validate` rescans: all 16 Ki
+/// entries for the plain validator (`cold`), the 1 Ki entries of the one
+/// dirtied page for the incremental one.
+fn bench_validate(c: &mut Criterion) {
+    let mut g = c.benchmark_group("validate");
+    g.sample_size(20);
+    let n = 16 * 1024;
+    let data_len = 128 * 512;
+    let target = |k: usize| ((k * 7919) % data_len + 1) as i32;
+    for (name, incremental) in [
+        ("read_indices_16k_cold", false),
+        ("read_indices_16k_incremental_1page", true),
+    ] {
+        g.bench_function(name, |b| {
+            let cl = Cluster::new(DsmConfig::with_nprocs(1));
+            let data = cl.alloc::<f64>(data_len);
+            let ind = cl.alloc::<i32>(n);
+            let desc = Desc::Indirect {
+                data: RegionRef::of(&data),
+                ind,
+                ind_dims: vec![n],
+                section: Rsd::dense1(1, n as i64),
+                access: AccessType::Read,
+                sched: 1,
+            };
+            let b = Mutex::new(b);
+            cl.run(|p| {
+                for k in 0..n {
+                    p.write(&ind, k, target(k));
+                }
+                let mut v = if incremental {
+                    Validator::incremental()
+                } else {
+                    Validator::new()
+                };
+                validate(p, &mut v, std::slice::from_ref(&desc));
+                let mut k = 0;
+                b.lock().unwrap().iter(|| {
+                    k = (k + 1) % n;
+                    p.write(&ind, k, target(k));
+                    validate(p, &mut v, std::slice::from_ref(&desc));
+                });
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_diff,
+    bench_rsd,
+    bench_dsm_rounds,
+    bench_inspector,
+    bench_validate
+);
 criterion_main!(benches);

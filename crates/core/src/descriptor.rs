@@ -70,10 +70,12 @@ impl RegionRef {
     }
 
     /// Page holding element `i` (elements here never straddle pages:
-    /// regions are page-aligned and element sizes divide the page size).
+    /// regions are page-aligned and element sizes divide the page size,
+    /// which is a power of two).
     #[inline]
     pub fn page_of_elem(&self, i: usize, page_size: usize) -> u32 {
-        ((self.base + i * self.elem) / page_size) as u32
+        debug_assert!(page_size.is_power_of_two());
+        ((self.base + i * self.elem) >> page_size.trailing_zeros()) as u32
     }
 }
 
@@ -150,6 +152,32 @@ pub fn flat_indices(section: &Rsd, dims: &[usize]) -> Vec<usize> {
     out
 }
 
+/// The flat indices of `section` as one contiguous range, when it has
+/// one: every dimension before the first partial one is whole, that one
+/// is dense, and every later one has extent 1 — the shape of
+/// `interaction_list[1:2, lo:hi]` and of any dense 1-D section. Yields
+/// exactly what [`flat_indices`] would, without materialising it.
+pub(crate) fn flat_range(section: &Rsd, dims: &[usize]) -> Option<std::ops::Range<usize>> {
+    assert_eq!(section.rank(), dims.len(), "section rank != array rank");
+    if section.is_empty() {
+        return Some(0..0);
+    }
+    let (mut lo, mut stride, mut len) = (0usize, 1usize, 1usize);
+    let mut whole_so_far = true;
+    for (d, &n) in section.dims.iter().zip(dims) {
+        let k = d.len();
+        if k > 1 && (!whole_so_far || d.stride != 1) {
+            return None;
+        }
+        debug_assert!(d.lo >= 1 && (d.lo as usize - 1) + k <= n);
+        lo += (d.lo as usize - 1) * stride;
+        whole_so_far &= k == n;
+        stride *= n;
+        len *= k;
+    }
+    Some(lo..lo + len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +204,46 @@ mod tests {
     fn flat_indices_1d() {
         let sec = Rsd::new(vec![Dim::dense(3, 6)]);
         assert_eq!(flat_indices(&sec, &[100]), vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn flat_range_matches_flat_indices_when_contiguous() {
+        let dims = [3usize, 4, 5];
+        let dim_choices = |n: i64| {
+            let mut v = vec![Dim::new(1, 0, 1)];
+            for lo in 1..=n {
+                for hi in lo..=n {
+                    for stride in 1..=2 {
+                        v.push(Dim::new(lo, hi, stride));
+                    }
+                }
+            }
+            v
+        };
+        let (d0, d1, d2) = (dim_choices(3), dim_choices(4), dim_choices(5));
+        let mut contiguous = 0;
+        for a in &d0 {
+            for b in &d1 {
+                for c in &d2 {
+                    let sec = Rsd::new(vec![*a, *b, *c]);
+                    let flats = flat_indices(&sec, &dims);
+                    match flat_range(&sec, &dims) {
+                        Some(r) => {
+                            contiguous += 1;
+                            assert_eq!(r.collect::<Vec<_>>(), flats, "{sec:?}");
+                        }
+                        None => assert!(
+                            flats.windows(2).any(|w| w[1] != w[0] + 1),
+                            "{sec:?} is contiguous but got no range"
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(contiguous > 100);
+        // The kernels' shape: whole leading dimension, partial trailing.
+        let sec = Rsd::new(vec![Dim::dense(1, 2), Dim::dense(5, 6)]);
+        assert_eq!(flat_range(&sec, &[2, 10]), Some(8..12));
     }
 
     #[test]

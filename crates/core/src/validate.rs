@@ -2,11 +2,12 @@
 //! compile-time/run-time pair (paper §3.2, Figure 3).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use dsm::{FetchClass, SimTime, TmkProc};
+use dsm::{FetchClass, Pod, SharedSlice, SimTime, TmkProc};
 use rsd::PageSet;
 
-use crate::descriptor::{flat_indices, AccessType, Desc};
+use crate::descriptor::{flat_indices, flat_range, AccessType, Desc, RegionRef};
 
 /// Cached state for one schedule number: the page set computed by
 /// `Read_indices` (or from a direct section) and, for indirect schedules,
@@ -21,9 +22,10 @@ struct Sched {
     partial_pages: Vec<u32>,
     watch: Option<usize>,
     recomputes: u64,
-    /// Incremental mode: data pages contributed by each *indirection*
-    /// page, so a partial rescan can replace just the dirty pages' share.
-    by_ind_page: HashMap<u32, Vec<u32>>,
+    /// Data pages contributed by each *indirection* page, sorted by
+    /// indirection page, so an incremental rescan can replace just the
+    /// dirty pages' share.
+    by_ind_page: Vec<(u32, Vec<u32>)>,
     /// Entries rescanned by partial recomputes (diagnostics).
     partial_scans: u64,
 }
@@ -155,73 +157,56 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
                     // are fetched like any shared data. In incremental
                     // mode, a non-empty dirty list restricts the rescan
                     // to entries living on the dirtied indirection pages.
-                    let flats = flat_indices(section, ind_dims);
                     let partial = v.incremental
                         && !dirty_pages.is_empty()
                         && v.schedules[sched].recomputes > 0;
-                    let scan: Vec<usize> = if partial {
-                        flats
-                            .iter()
-                            .copied()
-                            .filter(|&fi| dirty_pages.binary_search(&ind.page_of(fi, page_size)).is_ok())
-                            .collect()
-                    } else {
-                        flats.clone()
-                    };
-
-                    // Map rescanned entries to data pages, grouped by the
-                    // indirection page they live on.
-                    let mut groups: HashMap<u32, PageSet> = HashMap::new();
-                    for &fi in &scan {
-                        let target = p.read(ind, fi);
-                        debug_assert!(target >= 1, "indirection entries are 1-based");
-                        let t = (target - 1) as usize;
-                        debug_assert!(t < data.len, "indirection target out of range");
-                        let b = data.base + t * data.elem;
-                        let set = groups.entry(ind.page_of(fi, page_size)).or_default();
-                        set.insert((b / page_size) as u32);
-                        let last = ((b + data.elem - 1) / page_size) as u32;
-                        if last != (b / page_size) as u32 {
-                            set.insert(last);
+                    let only = partial.then_some(&dirty_pages[..]);
+                    let shift = p.page_shift();
+                    let scan = match flat_range(section, ind_dims) {
+                        Some(flats) => {
+                            read_indices(p, data, ind, range_runs(ind, flats, shift), only)
                         }
-                    }
-                    let dt = cost.index_scan(scan.len());
+                        None => {
+                            let flats = flat_indices(section, ind_dims);
+                            let page = |fi: usize| (ind.byte_at(fi) >> shift) as u32;
+                            let runs = flats
+                                .chunk_by(|&a, &b| page(a) == page(b))
+                                .map(|run| (page(run[0]), run.iter().copied()));
+                            read_indices(p, data, ind, runs, only)
+                        }
+                    };
+                    let dt = cost.index_scan(scan.entries);
                     p.compute(dt);
                     v.scan_time += dt;
 
                     let sch = v.schedules.get_mut(sched).unwrap();
-                    if !partial {
-                        sch.by_ind_page.clear();
+                    if partial {
+                        sch.partial_scans += scan.entries as u64;
+                        for (ip, pages) in scan.groups {
+                            match sch.by_ind_page.binary_search_by_key(&ip, |g| g.0) {
+                                Ok(i) => sch.by_ind_page[i].1 = pages,
+                                Err(i) => sch.by_ind_page.insert(i, (ip, pages)),
+                            }
+                        }
                     } else {
-                        sch.partial_scans += scan.len() as u64;
-                    }
-                    for (ip, set) in groups {
-                        let mut s = set;
-                        s.finish();
-                        sch.by_ind_page.insert(ip, s.iter().collect());
+                        sch.by_ind_page = scan.groups;
                     }
                     // Union of all groups = pages[sch].
                     let mut union = PageSet::with_capacity(64);
-                    for pages in sch.by_ind_page.values() {
+                    for (_, pages) in &sch.by_ind_page {
                         for &pg in pages {
                             union.insert(pg);
                         }
                     }
                     union.finish();
-                    sch.pages = union.iter().collect();
+                    sch.pages = union.as_slice().to_vec();
                     sch.full_pages.clear();
                     sch.partial_pages = sch.pages.clone();
                     sch.recomputes += 1;
 
                     // Write_protect(section): arm the watch on the pages
                     // holding the indirection section.
-                    let ind_pages: Vec<u32> = flats
-                        .iter()
-                        .map(|&fi| ind.page_of(fi, page_size))
-                        .collect::<PageSet>()
-                        .iter()
-                        .collect();
-                    p.watch_pages(watch, ind_pages.into_iter());
+                    p.watch_pages(watch, scan.ind_pages.into_iter());
                 }
             }
             Desc::Direct {
@@ -284,15 +269,10 @@ pub fn validate(p: &mut TmkProc, v: &mut Validator, descs: &[Desc]) {
     for d in descs {
         let sch = &v.schedules[&d.sched()];
         match d.access() {
-            AccessType::Write | AccessType::ReadWrite => {
-                let pages = sch.pages.clone();
-                p.pre_twin(&pages);
-            }
+            AccessType::Write | AccessType::ReadWrite => p.pre_twin(&sch.pages),
             AccessType::WriteAll | AccessType::ReadWriteAll => {
-                let full = sch.full_pages.clone();
-                let partial = sch.partial_pages.clone();
-                p.mark_full_write(&full);
-                p.pre_twin(&partial);
+                p.mark_full_write(&sch.full_pages);
+                p.pre_twin(&sch.partial_pages);
             }
             AccessType::Read => {}
         }
@@ -307,8 +287,92 @@ impl Sched {
             partial_pages: Vec::new(),
             watch: None,
             recomputes: 0,
-            by_ind_page: HashMap::new(),
+            by_ind_page: Vec::new(),
             partial_scans: 0,
         }
     }
+}
+
+/// What one `Read_indices` walk produced.
+struct Scan {
+    /// Indirection pages holding the section, ascending: the watch set.
+    ind_pages: Vec<u32>,
+    /// Per scanned indirection page (ascending), the sorted data pages
+    /// its entries target.
+    groups: Vec<(u32, Vec<u32>)>,
+    /// Entries read (what `index_scan` bills).
+    entries: usize,
+}
+
+/// `Read_indices` in one pass over the section, given as its runs of
+/// flat indices that share an indirection page (ascending, as
+/// column-major enumeration yields them): the watch set, the optional
+/// dirty-page filter and the per-page grouping all come from the same
+/// walk. With `only` set, just the runs on those (sorted) indirection
+/// pages are read; the others are skipped whole.
+///
+/// Entries are read through the DSM in section order, so page faults
+/// on the indirection array happen exactly where an entry-by-entry scan
+/// would take them.
+fn read_indices<I: Iterator<Item = usize>>(
+    p: &mut TmkProc,
+    data: &RegionRef,
+    ind: &SharedSlice<i32>,
+    runs: impl Iterator<Item = (u32, I)>,
+    only: Option<&[u32]>,
+) -> Scan {
+    let shift = p.page_shift();
+    let mut scan = Scan {
+        ind_pages: Vec::new(),
+        groups: Vec::new(),
+        entries: 0,
+    };
+    for (ip, run) in runs {
+        debug_assert!(
+            scan.ind_pages.last().is_none_or(|&last| last < ip),
+            "section flat indices ascend"
+        );
+        scan.ind_pages.push(ip);
+        if only.is_some_and(|dirty| dirty.binary_search(&ip).is_err()) {
+            continue;
+        }
+        let mut set = PageSet::with_capacity(run.size_hint().0);
+        for fi in run {
+            let target = p.read(ind, fi);
+            debug_assert!(target >= 1, "indirection entries are 1-based");
+            let t = (target - 1) as usize;
+            debug_assert!(t < data.len, "indirection target out of range");
+            let b = data.base + t * data.elem;
+            let first = (b >> shift) as u32;
+            let last = ((b + data.elem - 1) >> shift) as u32;
+            set.insert(first);
+            if last != first {
+                set.insert(last);
+            }
+            scan.entries += 1;
+        }
+        set.finish();
+        scan.groups.push((ip, set.as_slice().to_vec()));
+    }
+    scan
+}
+
+/// The indirection-page runs of a contiguous flat range, computed from
+/// the page boundaries rather than entry by entry.
+fn range_runs(
+    ind: &SharedSlice<i32>,
+    flats: Range<usize>,
+    shift: u32,
+) -> impl Iterator<Item = (u32, Range<usize>)> + '_ {
+    let mut start = flats.start;
+    std::iter::from_fn(move || {
+        (start < flats.end).then(|| {
+            let byte = ind.byte_at(start);
+            let page = byte >> shift;
+            let end = (start + (((page + 1) << shift) - byte) / i32::SIZE).min(flats.end);
+            let run = (page as u32, start..end);
+            start = end;
+            run
+        })
+    })
 }

@@ -225,6 +225,8 @@ impl Cluster {
                         me: rank,
                         nprocs: self.cfg.nprocs,
                         page_size: self.cfg.page_size,
+                        page_shift: self.cfg.page_size.trailing_zeros(),
+                        page_mask: self.cfg.page_size - 1,
                         inner,
                     };
                     share.install(|| f(&mut p));

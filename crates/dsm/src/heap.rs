@@ -93,10 +93,12 @@ impl<T: Pod> SharedSlice<T> {
         self.base
     }
 
-    /// Page holding element `i`.
+    /// Page holding element `i` (`page_size` is a power of two, as
+    /// every [`Cluster`](crate::Cluster) asserts).
     #[inline]
     pub fn page_of(&self, i: usize, page_size: usize) -> u32 {
-        (self.byte_at(i) / page_size) as u32
+        debug_assert!(page_size.is_power_of_two());
+        (self.byte_at(i) >> page_size.trailing_zeros()) as u32
     }
 
     /// All pages this region occupies.

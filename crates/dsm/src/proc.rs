@@ -257,6 +257,12 @@ pub struct TmkProc<'c> {
     pub(crate) me: ProcId,
     pub(crate) nprocs: usize,
     pub(crate) page_size: usize,
+    /// `log2(page_size)`: the page size is asserted to be a power of two
+    /// at [`Cluster::new`](crate::Cluster::new), so the software MMU
+    /// splits a byte address with a shift and a mask, never a division.
+    pub(crate) page_shift: u32,
+    /// `page_size - 1`: the in-page byte offset mask.
+    pub(crate) page_mask: usize,
     pub(crate) inner: Box<ProcInner>,
 }
 
@@ -277,6 +283,13 @@ impl<'c> TmkProc<'c> {
     #[inline]
     pub fn page_size(&self) -> usize {
         self.page_size
+    }
+
+    /// `log2` of the page size: global byte `b` lives on page
+    /// `b >> page_shift()`.
+    #[inline]
+    pub fn page_shift(&self) -> u32 {
+        self.page_shift
     }
 
     /// This processor's accumulated protocol event counters.
@@ -304,11 +317,11 @@ impl<'c> TmkProc<'c> {
     #[inline]
     pub fn read<T: Pod>(&mut self, s: &SharedSlice<T>, i: usize) -> T {
         let byte = s.byte_at(i);
-        let page = byte / self.page_size;
+        let page = byte >> self.page_shift;
         if self.inner.frames[page].state == PageState::Invalid {
             self.read_fault(page as u32);
         }
-        let off = byte % self.page_size;
+        let off = byte & self.page_mask;
         let f = &self.inner.frames[page];
         T::load(&f.data.as_ref().unwrap()[off..])
     }
@@ -317,14 +330,14 @@ impl<'c> TmkProc<'c> {
     #[inline]
     pub fn write<T: Pod>(&mut self, s: &SharedSlice<T>, i: usize, v: T) {
         let byte = s.byte_at(i);
-        let page = byte / self.page_size;
+        let page = byte >> self.page_shift;
         {
             let f = &self.inner.frames[page];
             if f.state != PageState::Write || f.watch_protect {
                 self.write_fault(page as u32);
             }
         }
-        let off = byte % self.page_size;
+        let off = byte & self.page_mask;
         let f = &mut self.inner.frames[page];
         v.store(&mut f.data.as_mut().unwrap()[off..]);
     }
